@@ -5,7 +5,7 @@ GO ?= go
 # bash for pipefail in bench-json.
 SHELL := /bin/bash
 
-.PHONY: build test race bench bench-json bench-gate script-lint fmt vet fmt-check x11 x12 x13 x14 x15 fuzz-smoke serve-smoke ci
+.PHONY: build test race bench bench-json bench-gate script-lint fmt vet fmt-check x11 x12 x13 x14 x15 fuzz-smoke serve-smoke perfbench-test ci
 
 build:
 	$(GO) build ./...
@@ -114,6 +114,13 @@ x15:
 serve-smoke:
 	scripts/serve_smoke.sh
 
+# perfbench (the end-to-end benchmark) is its own Go module, importing
+# this one through a replace directive, so `go test ./...` here never
+# reaches it. Its vet and self-tests run separately: they call the
+# library's public surface standalone, which a refactor can break.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # Short native-fuzz smoke over the scenario space, the log codec, and
 # the checkpoint split/resume differential.
 fuzz-smoke:
@@ -121,4 +128,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzCheckpoint -fuzztime 10s ./internal/verify/gen
 
-ci: build vet fmt-check script-lint race bench-json bench-gate x11 x12 x13 x14 x15 serve-smoke
+ci: build vet fmt-check script-lint race perfbench-test bench-json bench-gate x11 x12 x13 x14 x15 serve-smoke

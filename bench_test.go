@@ -1,10 +1,9 @@
 // The benchmark harness regenerates every table and figure of the
 // paper's evaluation (one benchmark per artefact) plus the extension
-// sweeps of DESIGN.md §4. Each benchmark validates the reproduced
-// shape against the paper's published statement and reports the
-// domain quantities via b.ReportMetric, so `go test -bench=.`
-// doubles as the reproduction record (EXPERIMENTS.md captures one
-// run's output).
+// sweeps listed in the README's "Experiments" section. Each benchmark
+// validates the reproduced shape against the paper's published
+// statement and reports the domain quantities via b.ReportMetric, so
+// `go test -bench=.` doubles as the reproduction record.
 package repro
 
 import (
@@ -155,7 +154,7 @@ func BenchmarkSweepFaultMagnitude(b *testing.B) {
 	var points []experiments.SweepPoint
 	var err error
 	for i := 0; i < b.N; i++ {
-		points, err = experiments.FaultMagnitudeSweep(ms(60), ms(20))
+		points, err = experiments.FaultMagnitudeSweepCtx(context.Background(), ms(60), ms(20), experiments.RunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -242,7 +241,7 @@ func BenchmarkSweepDetectorOverhead(b *testing.B) {
 	var points []experiments.OverheadPoint
 	var err error
 	for i := 0; i < b.N; i++ {
-		points, err = experiments.DetectorOverheadSweep([]int{4, 8, 16}, 7)
+		points, err = experiments.DetectorOverheadSweepCtx(context.Background(), []int{4, 8, 16}, 7, experiments.RunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -258,7 +257,7 @@ func BenchmarkSweepTimerResolution(b *testing.B) {
 	var points []experiments.ResolutionPoint
 	var err error
 	for i := 0; i < b.N; i++ {
-		points, err = experiments.TimerResolutionSweep()
+		points, err = experiments.TimerResolutionSweepCtx(context.Background(), experiments.RunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -277,7 +276,7 @@ func BenchmarkSweepBaselines(b *testing.B) {
 	var points []experiments.BaselinePoint
 	var err error
 	for i := 0; i < b.N; i++ {
-		points, err = experiments.BaselineComparison(ms(50), 6*vtime.Second)
+		points, err = experiments.BaselineComparisonCtx(context.Background(), ms(50), 6*vtime.Second, experiments.RunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -310,7 +309,7 @@ func BenchmarkSweepAcceptance(b *testing.B) {
 	var points []experiments.AcceptancePoint
 	var err error
 	for i := 0; i < b.N; i++ {
-		points, err = experiments.AcceptanceSweep([]float64{0.6, 0.8, 0.95}, 50, 5, 11)
+		points, err = experiments.AcceptanceSweepCtx(context.Background(), []float64{0.6, 0.8, 0.95}, 50, 5, 11, experiments.RunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,5 +1,6 @@
 // Command rtexp regenerates every table and figure of the paper's
-// evaluation, plus the extension sweeps catalogued in DESIGN.md §4.
+// evaluation, plus the extension sweeps listed in the README's
+// "Experiments" section.
 // The artefacts come from the sim experiment registry, so listing and
 // running them needs no per-experiment wiring here.
 //

@@ -10,9 +10,9 @@
 // discrete-event uniprocessor simulator with a nanosecond virtual
 // clock (Go's garbage collector makes wall-clock hard real time
 // unattainable, and virtual time makes every published figure exactly
-// and deterministically reproducible). See DESIGN.md for the complete
-// substitution table and system inventory, and EXPERIMENTS.md for
-// paper-versus-measured results on every table and figure.
+// and deterministically reproducible). The README's "Experiments"
+// section lists every reproduced table, figure and extension sweep
+// with the command that regenerates it.
 //
 // Layout:
 //
@@ -44,14 +44,17 @@
 // options (sim.New(sim.WithTasks(...), sim.WithPolicy("edf"), ...))
 // or as a declarative, JSON-round-trippable sim.Scenario loaded from
 // disk (sim.Load); both compile into the same internal core.System.
-// Two name→factory registries make the description fully
-// declarative: scheduling policies (fixed-priority plus the overload
-// baselines; see sim.Policies) and experiments (every paper table,
-// figure and extension sweep; see sim.Experiments). cmd/rtrun
+// That compilation is one path for every run — admitted, overload
+// (skip_admission), multiprocessor, checkpointed or resumed: the
+// scenario's skip_admission, cpus, partition and arrival sources
+// become core.Config fields, and core.System alone wires admission,
+// allowance, detectors, the oracle and the engine. Two name→factory
+// registries make the description fully declarative: scheduling
+// policies (fixed-priority plus the overload baselines; see
+// sim.Policies) and experiments (every paper table, figure and
+// extension sweep; see sim.Experiments). cmd/rtrun
 // -scenario runs a spec file end to end, and cmd/rtexp -list
-// enumerates the experiment registry. The direct non-Ctx sweep
-// entry points of internal/experiments are deprecated in favour of
-// their *Ctx forms and the registry entries.
+// enumerates the experiment registry.
 //
 // # Parallel experiment execution
 //
@@ -131,8 +134,8 @@
 // by default, sched.BestFitDecreasing with "partitioner":
 // "best-fit" — each core's feasibility proved by the paper's exact
 // response-time analysis; cores then schedule independently and jobs
-// never migrate. Multiprocessor runs use the bare engine (admission
-// control and the fault treatments are uniprocessor machinery), so
+// never migrate. Multiprocessor runs skip admission control (it and
+// the fault treatments are uniprocessor machinery), so
 // cpus > 1 admits treatment "none", no servers, and the
 // fixed-priority/edf policies only — the strict codec rejects
 // anything else. Checkpoints serialize per-core running state, the
@@ -154,7 +157,7 @@
 // policy-consistent dispatch order (fixed-priority exact, the EDF
 // family via recomputed keys), detector fires at the paper's
 // latest-detection bound, per-task conservation, and server budgets.
-// Arm it with core.Config.Verify, sim.WithVerify, the scenario
+// Arm it with core.Config.Oracle, sim.WithVerify, the scenario
 // "verify": true, or rtrun -check; a violation fails the run with a
 // *verify.Error naming each breach. internal/verify/gen fuzzes the
 // scenario space (seeded UUniFast task sets × fault chains × policies
@@ -178,7 +181,7 @@
 // traffic) — or with "trace", the replay of a recorded arrival log
 // whose records carry per-release cost and deadline overrides.
 // Task-targeted sources require skip_admission (open arrivals have no
-// periodic admission analysis; they ride the bare engine), while
+// periodic admission analysis, so the run skips it), while
 // server-targeted sources generate an aperiodic server's request
 // stream in place of a static list. The trace grammar is canonical
 // JSONL with strictly increasing releases — out-of-order input is

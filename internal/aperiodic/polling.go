@@ -216,7 +216,7 @@ func (ps *PollingServer) Attach(set *taskset.Set, plan fault.Plan) (*taskset.Set
 		plan = fault.Plan{}
 	} else {
 		np := fault.Plan{}
-		for k, v := range plan {
+		for k, v := range plan { // order-independent: copies a map
 			np[k] = v
 		}
 		plan = np

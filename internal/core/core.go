@@ -49,6 +49,22 @@ type Config struct {
 	// with NoDetection: the detectors' WCRT arming presupposes
 	// fixed-priority response-time analysis.
 	Policy engine.Policy
+	// SkipAdmission bypasses the paper's admission control: the run
+	// starts without a feasibility report, allowance table or
+	// supervisor (overload studies run deliberately infeasible sets).
+	// It requires NoDetection, and CPUs > 1 implies it — there is no
+	// uniprocessor admission test to apply to a multiprocessor.
+	SkipAdmission bool
+	// CPUs is the number of identical processors (0 or 1 = the
+	// paper's uniprocessor).
+	CPUs int
+	// Partition, when non-nil, pins task i to core Partition[i]
+	// (partitioned dispatch); nil with CPUs > 1 dispatches globally.
+	Partition []int
+	// Sources, when non-empty, aligns index-for-index with
+	// Tasks.Tasks: a non-nil entry replaces that task's periodic
+	// release law with source-driven releases (engine.Config.Sources).
+	Sources []taskset.Source
 	// Collect selects run-data retention: engine.Retain (default)
 	// keeps the full log and job history; engine.Stream bounds memory
 	// for long horizons — the Report comes from a streaming
@@ -62,21 +78,18 @@ type Config struct {
 	// FastForward enables the engine's steady-state cycle detection:
 	// once two consecutive hyperperiod boundaries fingerprint equal,
 	// the remaining whole cycles are extrapolated analytically and only
-	// the tail is simulated (engine/fastforward.go). Requires Stream
-	// collection and NoDetection treatment, and excludes faults, stop
-	// jitter, TraceSink and Verify — everything that would either break
-	// periodicity or observe the event hole the jump leaves.
+	// the tail is simulated (engine/fastforward.go). Besides the
+	// engine's own rules (Stream collection, no faults, no stop
+	// jitter), it requires NoDetection treatment and excludes TraceSink
+	// and Oracle — both would observe the event hole the jump leaves.
 	FastForward bool
-	// Verify enables the online invariant oracle (package verify):
-	// every trace event is checked against the scheduling axioms as
-	// it is recorded — in Retain and Stream collection alike — and
-	// Run fails with a wrapped *verify.Error on any violation.
-	Verify bool
-	// VerifyServerBudgets optionally maps polling-server task names
-	// to their per-job capacity for the oracle's budget axiom (the
-	// sim facade fills it; core itself has no server notion). Only
-	// meaningful with Verify.
-	VerifyServerBudgets map[string]vtime.Duration
+	// Oracle, when non-nil, is the online invariant oracle (package
+	// verify): every trace event is checked against the scheduling
+	// axioms as it is recorded — in Retain and Stream collection
+	// alike — and Run fails with a wrapped *verify.Error on any
+	// violation. Build it for the same system (verify.ForScenario
+	// does so for a scenario); a Checker serves one run.
+	Oracle *verify.Checker
 }
 
 // Result is the outcome of a run.
@@ -103,6 +116,7 @@ type Result struct {
 // System is a configured, not-yet-run reproduction instance.
 type System struct {
 	cfg Config
+	// sup and adm are nil when admission control was skipped.
 	sup *detect.Supervisor
 	adm *analysis.Report
 }
@@ -110,7 +124,8 @@ type System struct {
 // NewSystem validates the configuration and performs the paper's
 // admission control. It fails when the declared system is not
 // theoretically feasible — the paper's detectors presuppose an
-// admitted system whose WCRTs exist.
+// admitted system whose WCRTs exist. With SkipAdmission (or CPUs > 1)
+// no admission control runs and the system carries no supervisor.
 func NewSystem(cfg Config) (*System, error) {
 	if cfg.Tasks == nil {
 		return nil, fmt.Errorf("core: no tasks configured")
@@ -127,6 +142,12 @@ func NewSystem(cfg Config) (*System, error) {
 			return nil, err
 		}
 	}
+	if cfg.SkipAdmission || cfg.CPUs > 1 {
+		if cfg.Treatment != detect.NoDetection {
+			return nil, fmt.Errorf("core: treatment %v requires admission control (detectors arm on the admitted WCRTs)", cfg.Treatment)
+		}
+		return &System{cfg: cfg}, nil
+	}
 	adm, err := analysis.Feasible(cfg.Tasks)
 	if err != nil {
 		return nil, err
@@ -141,58 +162,43 @@ func NewSystem(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &System{cfg: cfg, sup: sup}, nil
+	return &System{cfg: cfg, sup: sup, adm: adm}, nil
 }
 
-// fastForwardable rejects configurations the steady-state fast-forward
-// cannot serve: detector treatments hold re-arming timers that poison
-// every hyperperiod boundary, Retain collection retains what the jump
-// skips, faults and stop jitter break periodicity, and TraceSink /
-// Verify observe the event stream directly — the extrapolated cycles
-// emit no events, so either would see a hole.
+// fastForwardable rejects what the steady-state fast-forward cannot
+// serve beyond the engine's own checks (Stream collection, faults,
+// stop jitter, sources): detector treatments hold re-arming timers
+// that poison every hyperperiod boundary, and TraceSink / Oracle
+// observe the event stream directly — the extrapolated cycles emit no
+// events, so either would see a hole.
 func fastForwardable(cfg Config) error {
 	if cfg.Treatment != detect.NoDetection {
 		return fmt.Errorf("core: fast-forward requires treatment %v (detector timers re-arm every period, suppressing cycle detection), have %v", detect.NoDetection, cfg.Treatment)
 	}
-	if cfg.Collect != engine.Stream {
-		return fmt.Errorf("core: fast-forward requires Stream collection")
-	}
-	if len(cfg.Faults) > 0 {
-		return fmt.Errorf("core: fast-forward cannot combine with a fault plan")
-	}
-	if cfg.StopJitterMax > 0 {
-		return fmt.Errorf("core: fast-forward cannot combine with stop jitter")
-	}
 	if cfg.TraceSink != nil {
 		return fmt.Errorf("core: fast-forward cannot combine with a trace sink (extrapolated cycles emit no events)")
 	}
-	if cfg.Verify {
+	if cfg.Oracle != nil {
 		return fmt.Errorf("core: fast-forward cannot combine with the online oracle (extrapolated cycles emit no events to check)")
 	}
 	return nil
 }
 
-// policyName resolves the configured policy's registry name (nil
-// means the default fixed-priority scheduler).
-func (s *System) policyName() string {
-	if s.cfg.Policy == nil {
-		return engine.FixedPriority{}.Name()
+// Admission returns the pre-run feasibility report (nil when
+// admission control was skipped).
+func (s *System) Admission() *analysis.Report { return s.adm }
+
+// Allowance returns the tolerance table backing the treatments (nil
+// when admission control was skipped).
+func (s *System) Allowance() *allowance.Table {
+	if s.sup == nil {
+		return nil
 	}
-	return s.cfg.Policy.Name()
+	return s.sup.Table()
 }
 
-// Admission returns the pre-run feasibility report.
-func (s *System) Admission() *analysis.Report {
-	if s.adm == nil {
-		s.adm, _ = analysis.Feasible(s.cfg.Tasks)
-	}
-	return s.adm
-}
-
-// Allowance returns the tolerance table backing the treatments.
-func (s *System) Allowance() *allowance.Table { return s.sup.Table() }
-
-// Supervisor exposes the detector supervisor (for dynamic admission).
+// Supervisor exposes the detector supervisor (for dynamic admission;
+// nil when admission control was skipped).
 func (s *System) Supervisor() *detect.Supervisor { return s.sup }
 
 // Run simulates the system to the horizon and returns the result.
@@ -219,7 +225,6 @@ func (s *System) RunWith(setup func(e *engine.Engine, sup *detect.Supervisor)) (
 type prepared struct {
 	eng *engine.Engine
 	acc *metrics.Accumulator
-	chk *verify.Checker
 }
 
 // prepare assembles the sink chain and the engine — everything RunWith
@@ -241,38 +246,16 @@ func (s *System) prepare(setup func(e *engine.Engine, sup *detect.Supervisor)) (
 		// stay exact across the analytic jump.
 		obs = acc
 	}
-	// Oracle arming for admitted systems; the bare-engine twin (no
-	// supervisor, hence no detector offsets) lives in sim.System.Run's
-	// SkipAdmission branch — change both together.
-	var chk *verify.Checker
-	if s.cfg.Verify {
-		vcfg := verify.Config{
-			Tasks:         s.cfg.Tasks,
-			Policy:        s.policyName(),
-			ServerBudgets: s.cfg.VerifyServerBudgets,
-			ContextSwitch: s.cfg.ContextSwitch,
-			Horizon:       vtime.Time(s.cfg.Horizon),
-		}
-		if s.cfg.Treatment != detect.NoDetection {
-			// The oracle checks detector fires against the same
-			// latest-detection bounds the supervisor armed.
-			offs := make(map[string]vtime.Duration, s.cfg.Tasks.Len())
-			for _, t := range s.cfg.Tasks.Tasks {
-				if off, ok := s.sup.DetectorOffset(t.Name); ok {
-					offs[t.Name] = off
-				}
-			}
-			vcfg.DetectorOffsets = offs
-		}
-		var err error
-		chk, err = verify.New(vcfg)
-		if err != nil {
-			return nil, err
-		}
-		sink = trace.Tee(chk, sink)
+	if s.cfg.Oracle != nil {
+		sink = trace.Tee(s.cfg.Oracle, sink)
+	}
+	var hooks engine.Hooks
+	if s.sup != nil {
+		hooks = s.sup.Hooks()
 	}
 	eng, err := engine.New(engine.Config{
 		Tasks:         s.cfg.Tasks,
+		Sources:       s.cfg.Sources,
 		Faults:        s.cfg.Faults,
 		End:           vtime.Time(s.cfg.Horizon),
 		Policy:        s.cfg.Policy,
@@ -280,26 +263,30 @@ func (s *System) prepare(setup func(e *engine.Engine, sup *detect.Supervisor)) (
 		StopJitterMax: s.cfg.StopJitterMax,
 		Seed:          s.cfg.Seed,
 		ContextSwitch: s.cfg.ContextSwitch,
+		CPUs:          s.cfg.CPUs,
+		Partition:     s.cfg.Partition,
 		Collect:       s.cfg.Collect,
 		Sink:          sink,
 		FastForward:   s.cfg.FastForward,
 		Observer:      obs,
-		Hooks:         s.sup.Hooks(),
+		Hooks:         hooks,
 	})
 	if err != nil {
 		return nil, err
 	}
-	s.sup.Attach(eng)
+	if s.sup != nil {
+		s.sup.Attach(eng)
+	}
 	if setup != nil {
 		setup(eng, s.sup)
 	}
-	return &prepared{eng: eng, acc: acc, chk: chk}, nil
+	return &prepared{eng: eng, acc: acc}, nil
 }
 
 // finish settles a completed run: oracle verdict, report, result.
 func (s *System) finish(p *prepared, log *trace.Log) (*Result, error) {
-	if p.chk != nil {
-		if verr := p.chk.FinishErr(); verr != nil {
+	if s.cfg.Oracle != nil {
+		if verr := s.cfg.Oracle.FinishErr(); verr != nil {
 			return nil, fmt.Errorf("core: invariant oracle: %w", verr)
 		}
 	}
@@ -309,15 +296,18 @@ func (s *System) finish(p *prepared, log *trace.Log) (*Result, error) {
 	} else {
 		rep = metrics.Analyze(log)
 	}
-	return &Result{
+	res := &Result{
 		Log:           log,
 		Report:        rep,
-		Admission:     s.Admission(),
-		Allowance:     s.sup.Table(),
-		Detections:    s.sup.Detections(),
+		Admission:     s.adm,
 		Switches:      p.eng.Switches(),
 		SkippedCycles: p.eng.SkippedCycles(),
-	}, nil
+	}
+	if s.sup != nil {
+		res.Allowance = s.sup.Table()
+		res.Detections = s.sup.Detections()
+	}
+	return res, nil
 }
 
 // CheckpointState pairs the two halves of a mid-run snapshot: the
@@ -330,37 +320,14 @@ type CheckpointState struct {
 	Metrics *metrics.AccumulatorState
 }
 
-// checkpointable rejects configurations whose runtime state cannot be
-// serialized: detector treatments hold closure-bearing timers, Retain
-// collection carries the full log and job history, and the online
-// oracle is a mid-stream observer whose verdict would be meaningless
-// split across processes (run verify.ForScenario over the concatenated
-// spill trace instead).
-func (s *System) checkpointable() error {
-	if s.cfg.Treatment != detect.NoDetection {
-		return fmt.Errorf("core: checkpointing requires treatment %v (detector timers are not serializable), have %v", detect.NoDetection, s.cfg.Treatment)
-	}
-	if s.cfg.Collect != engine.Stream {
-		return fmt.Errorf("core: checkpointing requires Stream collection")
-	}
-	if s.cfg.Verify {
-		return fmt.Errorf("core: checkpointing cannot combine with the online oracle; replay the concatenated trace through verify instead")
-	}
-	if s.cfg.FastForward {
-		return fmt.Errorf("core: checkpointing cannot combine with fast-forward (the jump skips the boundary instants a snapshot would capture)")
-	}
-	return nil
-}
-
 // RunToCheckpoint simulates the system up to instant at (exclusive of
 // later events), then snapshots it. Events strictly before or at `at`
 // have fired; the partial trace reaches cfg.TraceSink; the returned
 // state resumes with RunFrom on a fresh System built from the same
-// Config. Like Run, it consumes the System.
+// Config. Like Run, it consumes the System. The engine's Snapshot
+// refuses what it cannot serialize (Retain collection, detector and
+// other timers in flight, arrival sources).
 func (s *System) RunToCheckpoint(at vtime.Duration) (*CheckpointState, error) {
-	if err := s.checkpointable(); err != nil {
-		return nil, err
-	}
 	p, err := s.prepare(nil)
 	if err != nil {
 		return nil, err
@@ -381,9 +348,6 @@ func (s *System) RunToCheckpoint(at vtime.Duration) (*CheckpointState, error) {
 // cfg.TraceSink, and the returned Report covers the whole run —
 // segment one arrives inside the checkpoint's accumulator state.
 func (s *System) RunFrom(cp *CheckpointState) (*Result, error) {
-	if err := s.checkpointable(); err != nil {
-		return nil, err
-	}
 	if cp == nil || cp.Engine == nil || cp.Metrics == nil {
 		return nil, fmt.Errorf("core: RunFrom needs both engine and metrics state")
 	}
@@ -391,10 +355,12 @@ func (s *System) RunFrom(cp *CheckpointState) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := p.acc.RestoreState(cp.Metrics); err != nil {
+	// The engine restores first: it refuses Retain collection, the
+	// one configuration without an accumulator to restore into.
+	if err := p.eng.Restore(cp.Engine); err != nil {
 		return nil, err
 	}
-	if err := p.eng.Restore(cp.Engine); err != nil {
+	if err := p.acc.RestoreState(cp.Metrics); err != nil {
 		return nil, err
 	}
 	log := p.eng.Run()

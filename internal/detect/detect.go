@@ -192,13 +192,16 @@ func (s *Supervisor) DetectorOffset(task string) (vtime.Duration, bool) {
 }
 
 // Attach installs the detectors on the engine. With NoDetection it
-// installs nothing. Call exactly once, before engine.Run.
+// installs nothing. Call exactly once, before engine.Run. Detectors
+// are armed in task-set order (as AdmitTask arms one task at a time):
+// detectors due at the same instant then fire in a fixed order, so
+// the stop treatment's jitter draws land on the same tasks every run.
 func (s *Supervisor) Attach(e *engine.Engine) {
 	if s.cfg.Treatment == NoDetection {
 		return
 	}
-	for name := range s.plans {
-		s.scheduleDetector(e, name, 0)
+	for _, t := range s.set.Tasks {
+		s.scheduleDetector(e, t.Name, 0)
 	}
 }
 

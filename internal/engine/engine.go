@@ -2,9 +2,9 @@
 // uniprocessor running a set of periodic real-time tasks under a
 // preemptive scheduler, with nanosecond virtual time. It substitutes
 // for the paper's jRate virtual machine on a TimeSys real-time kernel
-// (see DESIGN.md §2): the scheduling decisions — who runs when, who
-// preempts whom, who misses a deadline — are identical in kind, while
-// the clock is virtual and fully deterministic.
+// (see the repro package doc): the scheduling decisions — who runs
+// when, who preempts whom, who misses a deadline — are identical in
+// kind, while the clock is virtual and fully deterministic.
 //
 // Beyond the paper, the engine generalizes to M identical processors
 // (Config.CPUs): global dispatch runs the M policy-best ready jobs,

@@ -54,7 +54,7 @@ func PolicyNames() []string {
 	registryMu.RLock()
 	defer registryMu.RUnlock()
 	names := make([]string, 0, len(registry))
-	for name := range registry {
+	for name := range registry { // order-independent: sorted below
 		names = append(names, name)
 	}
 	sort.Strings(names)

@@ -30,30 +30,21 @@ type BaselinePoint struct {
 	Tau3Success float64
 }
 
-// BaselineComparison (extension X4) runs the Table 2 system (τ3
+// BaselineComparisonCtx (extension X4) runs the Table 2 system (τ3
 // offset 1000 ms) with τ1 overrunning by extra on every other job,
 // under: the paper's FPP + detectors + Stop; plain fixed priorities
 // with no detection; EDF; Locke best-effort; RED; and D-over. The
 // paper's positioning — prevention through admission control plus
 // cheap detectors, rather than generic overload handling — shows up
-// as the FPP+Stop row protecting τ2/τ3 completely.
-//
-// Deprecated: use BaselineComparisonCtx (or the "x4" entry of the
-// repro/sim experiment registry), which adds cancellation and
-// parallel execution.
-func BaselineComparison(extra vtime.Duration, horizon vtime.Duration) ([]BaselinePoint, error) {
-	return BaselineComparisonCtx(context.Background(), extra, horizon, RunOptions{})
-}
-
-// BaselineComparisonCtx is BaselineComparison over the runner pool:
-// each policy's run is an independent simulation, the paper's
+// as the FPP+Stop row protecting τ2/τ3 completely. Each policy's run
+// is an independent simulation on the runner pool, the paper's
 // detector-supervised run first, the five overload schedulers after,
 // collected in that order.
 func BaselineComparisonCtx(ctx context.Context, extra vtime.Duration, horizon vtime.Duration, opt RunOptions) ([]BaselinePoint, error) {
 	faults := fault.Plan{"tau1": fault.OverrunEvery{First: 1, K: 2, Extra: extra}}
 
 	// A nil policy marks the paper's approach (core.System with
-	// detectors); the rest run the bare engine under that policy.
+	// detectors); the rest skip admission and run under that policy.
 	policies := []engine.Policy{
 		nil,
 		engine.FixedPriority{},
@@ -63,45 +54,30 @@ func BaselineComparisonCtx(ctx context.Context, extra vtime.Duration, horizon vt
 		baselines.DOver{},
 	}
 	return runner.Map(ctx, opt.pool(), policies, func(_ context.Context, _ int, p engine.Policy) (BaselinePoint, error) {
-		if p == nil {
-			sys, err := core.NewSystem(core.Config{
-				Tasks:           FigureSet(),
-				Treatment:       detect.Stop,
-				Faults:          faults,
-				Horizon:         horizon,
-				TimerResolution: detect.DefaultTimerResolution,
-				Collect:         opt.collect(),
-			})
-			if err != nil {
-				return BaselinePoint{}, err
-			}
-			res, err := sys.Run()
-			if err != nil {
-				return BaselinePoint{}, err
-			}
-			return point("fp+detectors(stop)", res.Report), nil
-		}
-		cfg := engine.Config{
+		cfg := core.Config{
 			Tasks:   FigureSet(),
 			Faults:  faults,
-			Policy:  p,
-			End:     vtime.Time(horizon),
+			Horizon: horizon,
 			Collect: opt.collect(),
 		}
-		var acc *metrics.Accumulator
-		if opt.Stream {
-			acc = metrics.NewAccumulator()
-			cfg.Sink = acc
+		name := "fp+detectors(stop)"
+		if p == nil {
+			cfg.Treatment = detect.Stop
+			cfg.TimerResolution = detect.DefaultTimerResolution
+		} else {
+			cfg.Policy = p
+			cfg.SkipAdmission = true
+			name = p.Name()
 		}
-		e, err := engine.New(cfg)
+		sys, err := core.NewSystem(cfg)
 		if err != nil {
 			return BaselinePoint{}, err
 		}
-		log := e.Run()
-		if acc != nil {
-			return point(p.Name(), acc.Report()), nil
+		res, err := sys.Run()
+		if err != nil {
+			return BaselinePoint{}, err
 		}
-		return point(p.Name(), metrics.Analyze(log)), nil
+		return point(name, res.Report), nil
 	})
 }
 

@@ -27,7 +27,7 @@ func TestFaultMagnitudeSweepStreamEqualsRetain(t *testing.T) {
 }
 
 // TestBaselineComparisonStreamEqualsRetain: X4 likewise reads only
-// success ratios; the bare-engine policy rows flow through a
+// success ratios; the skip-admission policy rows flow through a
 // metrics.Accumulator sink instead of Analyze under streaming.
 func TestBaselineComparisonStreamEqualsRetain(t *testing.T) {
 	ctx := context.Background()

@@ -14,7 +14,7 @@
 // runs fully deterministic despite true concurrency. Go's garbage
 // collector never pauses the *virtual* clock, which is precisely why
 // the reproduction simulates time instead of using wall time (see
-// DESIGN.md).
+// the repro package doc).
 package rtsj
 
 import (

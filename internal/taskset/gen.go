@@ -8,7 +8,7 @@ import (
 )
 
 // Generator produces deterministic synthetic task sets for the sweep
-// experiments (DESIGN.md X1–X6). Utilizations follow the UUniFast
+// experiments (X1–X5). Utilizations follow the UUniFast
 // algorithm (Bini & Buttazzo), periods are log-uniform over a range,
 // and priorities are assigned rate-monotonically by default — the
 // standard methodology in the fixed-priority literature the paper

@@ -34,7 +34,7 @@ type Task struct {
 	Cost vtime.Duration
 	// Offset delays the first release relative to time zero. The
 	// paper's analysis assumes synchronous release (offset 0); the
-	// figure scenarios use an offset on τ3 (see DESIGN.md §2).
+	// figure scenarios use an offset on τ3 (experiments.FigureSet).
 	Offset vtime.Duration
 	// Value is the job value used by the value-based overload
 	// baselines (Locke best-effort, RED, D-over). Zero means

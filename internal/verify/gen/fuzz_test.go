@@ -10,23 +10,27 @@ import (
 )
 
 // runVerified runs the scenario under the invariant oracle in the
-// given collection mode and returns the run error (nil = all axioms
-// held).
-func runVerified(sc scenario.Scenario, mode string) error {
+// given collection mode and returns the rendered report and the run
+// error (nil = all axioms held).
+func runVerified(sc scenario.Scenario, mode string) (string, error) {
 	sc.Collect = &scenario.Collect{Mode: mode}
 	sc.Verify = true
 	sys, err := sim.FromScenario(sc)
 	if err != nil {
-		return fmt.Errorf("build: %w", err)
+		return "", fmt.Errorf("build: %w", err)
 	}
-	_, err = sys.Run()
-	return err
+	res, err := sys.Run()
+	if err != nil {
+		return "", err
+	}
+	return res.Summary(), nil
 }
 
 // FuzzScenario is the native fuzz target over the scenario space: any
 // seed must derive a scenario whose run satisfies every scheduling
-// axiom, in every legal collection mode. A failing seed is shrunk to
-// a minimal reproducer so the report is actionable.
+// axiom, in every legal collection mode, and renders the same report
+// when run twice. A seed violating an axiom is shrunk to a minimal
+// reproducer so the report is actionable.
 //
 // CI runs this as a short smoke on every PR and a longer non-blocking
 // pass nightly: go test -fuzz=FuzzScenario ./internal/verify/gen
@@ -61,7 +65,8 @@ func FuzzScenario(f *testing.F) {
 		}
 		sc := gen.Scenario(seed)
 		for _, mode := range gen.LegalCollectModes(&sc) {
-			if err := runVerified(sc, mode); err != nil {
+			first, err := runVerified(sc, mode)
+			if err != nil {
 				// Stamp the failing mode so the written reproducer
 				// replays in it, shrink each candidate under its own
 				// collect block (sim.OracleFailure — oracle
@@ -73,6 +78,11 @@ func FuzzScenario(f *testing.F) {
 				repro := gen.Reproduce(gen.ReproducerPath(), failing, sim.OracleFailure)
 				t.Fatalf("seed %#x (%s collection) violates the scheduling axioms: %v\nreproducer: %s",
 					seed, mode, err, repro)
+			}
+			// Go randomizes map iteration on every range, so a second
+			// run exposes a map-order dependence no single run can.
+			if second, err := runVerified(sc, mode); err != nil || second != first {
+				t.Fatalf("seed %#x (%s collection): a second run rendered another report (err %v)", seed, mode, err)
 			}
 		}
 	})
@@ -93,8 +103,13 @@ func TestFuzzSeedsSmoke(t *testing.T) {
 	for _, seed := range seeds {
 		sc := gen.Scenario(seed)
 		for _, mode := range gen.LegalCollectModes(&sc) {
-			if err := runVerified(sc, mode); err != nil {
+			first, err := runVerified(sc, mode)
+			if err != nil {
 				t.Errorf("seed %d (%s): %v", seed, mode, err)
+				continue
+			}
+			if second, err := runVerified(sc, mode); err != nil || second != first {
+				t.Errorf("seed %d (%s): a second run rendered another report (err %v)", seed, mode, err)
 			}
 		}
 	}

@@ -63,7 +63,7 @@ func Scenario(seed uint64) scenario.Scenario {
 	}
 	// Overload scenarios (deliberately infeasible, admission skipped)
 	// exercise the shedding paths of the overload baselines and the
-	// bare-engine backlog handling; they require treatment none.
+	// engine's backlog handling; they require treatment none.
 	overload := treatment == "none" && r.Float64() < 0.35
 
 	n := 2 + r.Intn(5) // 2..6 tasks
@@ -147,7 +147,7 @@ func Scenario(seed uint64) scenario.Scenario {
 	if treatment == "none" && len(sc.Servers) == 0 &&
 		(policy == "fixed-priority" || policy == "edf") && r.Float64() < 0.30 {
 		sc.CPUs = []int{2, 4, 8}[r.Intn(3)]
-		// cpus > 1 runs the bare engine unconditionally; the codec
+		// cpus > 1 skips admission control unconditionally; the codec
 		// rejects a redundant skip_admission.
 		sc.SkipAdmission = false
 		if r.Float64() < 0.5 {

@@ -27,7 +27,7 @@ func ForScenario(sc *scenario.Scenario) (*Checker, error) {
 	cfg := Config{
 		Tasks:         set,
 		Policy:        sc.Policy,
-		ServerBudgets: ServerBudgets(sc),
+		ServerBudgets: serverBudgets(sc),
 		ContextSwitch: sc.ContextSwitch.D(),
 		Horizon:       vtime.Time(sc.Horizon),
 		CPUs:          sc.CPUs,
@@ -88,11 +88,11 @@ func DetectorOffsets(set *taskset.Set, tr detect.Treatment, resolution vtime.Dur
 	return offs, nil
 }
 
-// ServerBudgets maps each declared polling server to its per-job
+// serverBudgets maps each declared polling server to its per-job
 // capacity — except servers targeted by a declared fault entry, whose
 // demand is deliberately perturbed beyond the declaration (a "buggy
 // server" scenario) and therefore exempt from the budget axiom.
-func ServerBudgets(sc *scenario.Scenario) map[string]vtime.Duration {
+func serverBudgets(sc *scenario.Scenario) map[string]vtime.Duration {
 	if len(sc.Servers) == 0 {
 		return nil
 	}

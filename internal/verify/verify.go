@@ -352,9 +352,9 @@ func (c *Checker) violate(at vtime.Time, rule, format string, args ...any) {
 func (c *Checker) Violations() []Violation { return c.violations }
 
 // FinishErr closes the run and returns the aggregate violation error
-// (nil when every axiom held) — the one post-run sequence both
-// arming sites (core.RunWith and sim's bare-engine path) share, so
-// the Finish-then-Err contract lives in one place.
+// (nil when every axiom held): Finish, then Err. core.System, the one
+// place a run arms the oracle, calls it after the engine stops, as do
+// the trace-replay checks.
 func (c *Checker) FinishErr() error {
 	c.Finish()
 	return c.Err()

@@ -88,7 +88,7 @@ func openArrivalOne(kind string, seed uint64) (OpenArrivalPoint, error) {
 		reports[mode] = res
 		point.Modes = append(point.Modes, mode)
 	}
-	for _, s := range reports[scenario.CollectRetain].Report.Tasks {
+	for _, s := range reports[scenario.CollectRetain].Report.Tasks { // order-independent: a sum
 		point.Released += s.Released
 	}
 	if diff := reportDivergence(reports[scenario.CollectRetain], reports[scenario.CollectStream]); diff != "" {
@@ -129,7 +129,7 @@ func openArrivalOne(kind string, seed uint64) (OpenArrivalPoint, error) {
 	return point, nil
 }
 
-// openArrivalScenario derives one bare-engine scenario with a
+// openArrivalScenario derives one skip-admission scenario with a
 // source-driven task of the given kind beside a periodic competitor,
 // its parameters drawn deterministically from the seed.
 func openArrivalScenario(kind string, seed uint64) scenario.Scenario {

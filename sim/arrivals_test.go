@@ -17,7 +17,7 @@ func arrivalTask(name string) Task {
 	return Task{Name: name, Priority: 5, Period: Millis(50), Deadline: Millis(40), Cost: Millis(5)}
 }
 
-// runArrival builds and runs an oracle-armed bare-engine scenario
+// runArrival builds and runs an oracle-armed skip-admission scenario
 // with one source-driven task.
 func runArrival(t *testing.T, a Arrival, horizon vtime.Duration) *RunResult {
 	t.Helper()

@@ -7,14 +7,9 @@ import (
 	"io"
 	"os"
 
-	"repro/internal/core"
 	"repro/internal/detect"
 	"repro/internal/engine"
-	"repro/internal/fault"
 	"repro/internal/metrics"
-	"repro/internal/taskset"
-	"repro/internal/trace"
-	"repro/internal/vtime"
 )
 
 // CheckpointVersion stamps the sim-level checkpoint file format.
@@ -93,13 +88,13 @@ func DecodeCheckpointFile(path string) (*Checkpoint, error) {
 }
 
 // checkpointable rejects scenarios whose runtime state cannot be
-// serialized. The conditions mirror core and engine (which also
-// enforce them) so the error surfaces before any simulation work:
-// detector treatments and polling servers hold closure-bearing
-// timers, d-over arms a latest-start-time watchdog, retained runs
-// carry the full log, and the online oracle's verdict is only
-// meaningful over a whole trace (replay the concatenated spill
-// through rtrun -check or verify.ForScenario instead).
+// serialized, before any simulation work (the engine's Snapshot and
+// Restore only guard dynamically, after it): detector treatments and
+// polling servers hold closure-bearing timers, d-over arms a
+// latest-start-time watchdog, retained runs carry the full log, and
+// the online oracle's verdict is only meaningful over a whole trace
+// (replay the concatenated spill through rtrun -check or
+// verify.ForScenario instead).
 func (s *System) checkpointable() error {
 	tr, err := ParseTreatment(s.sc.Treatment)
 	if err != nil {
@@ -122,64 +117,6 @@ func (s *System) checkpointable() error {
 	return nil
 }
 
-// compileStream builds the runnable pieces of a checkpointable
-// scenario (no servers by construction).
-func (s *System) compileStream() (*taskset.Set, fault.Plan, engine.Policy, error) {
-	set, err := taskset.New(taskSlice(s.sc.Tasks)...)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	plan, err := s.sc.FaultPlan()
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	pol, err := engine.NewPolicy(s.sc.Policy)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return set, plan, pol, nil
-}
-
-// coreConfig maps a checkpointable scenario onto core.Config.
-func (s *System) coreConfig(set *taskset.Set, plan fault.Plan, pol engine.Policy, sink trace.Sink) core.Config {
-	return core.Config{
-		Tasks:         set,
-		Treatment:     detect.NoDetection,
-		Faults:        plan,
-		Horizon:       s.sc.Horizon.D(),
-		StopPoll:      s.sc.StopPoll.D(),
-		StopJitterMax: s.sc.StopJitterMax.D(),
-		Seed:          s.sc.Seed,
-		ContextSwitch: s.sc.ContextSwitch.D(),
-		Policy:        pol,
-		Collect:       engine.Stream,
-		TraceSink:     sink,
-	}
-}
-
-// engineConfig maps a checkpointable scenario onto the bare engine
-// (the skip-admission and multiprocessor paths).
-func (s *System) engineConfig(set *taskset.Set, plan fault.Plan, pol engine.Policy, sink trace.Sink) (engine.Config, error) {
-	partition, err := s.sc.Partition()
-	if err != nil {
-		return engine.Config{}, err
-	}
-	return engine.Config{
-		Tasks:         set,
-		Faults:        plan,
-		End:           vtime.Time(s.sc.Horizon),
-		Policy:        pol,
-		StopPoll:      s.sc.StopPoll.D(),
-		StopJitterMax: s.sc.StopJitterMax.D(),
-		Seed:          s.sc.Seed,
-		ContextSwitch: s.sc.ContextSwitch.D(),
-		Collect:       engine.Stream,
-		Sink:          sink,
-		CPUs:          s.sc.CPUs,
-		Partition:     partition,
-	}, nil
-}
-
 // RunToCheckpoint simulates the scenario up to instant at (every event
 // with a timestamp ≤ at fires), snapshots, and returns the
 // self-contained checkpoint. The partial trace reaches the SpillTrace
@@ -193,51 +130,18 @@ func (s *System) RunToCheckpoint(at Duration) (*Checkpoint, error) {
 	if at < 0 || at > s.sc.Horizon {
 		return nil, fmt.Errorf("sim: checkpoint instant %v outside the horizon [0, %v]", at, s.sc.Horizon)
 	}
-	set, plan, pol, err := s.compileStream()
+	c, err := s.compile(false)
 	if err != nil {
 		return nil, err
 	}
-	var spill *trace.WriterSink
-	var sink trace.Sink
-	if s.spill != nil {
-		spill = trace.NewWriterSink(s.spill)
-		sink = spill
+	cs, err := c.sys.RunToCheckpoint(at.D())
+	if err != nil {
+		return nil, err
 	}
-	cp := &Checkpoint{Version: CheckpointVersion, At: at, Scenario: s.sc}
-	if s.sc.SkipAdmission || s.sc.CPUs > 1 {
-		acc := metrics.NewAccumulator()
-		cfg, err := s.engineConfig(set, plan, pol, trace.Tee(acc, sink))
-		if err != nil {
-			return nil, err
-		}
-		eng, err := engine.New(cfg)
-		if err != nil {
-			return nil, err
-		}
-		if err := eng.RunUntil(vtime.Time(at)); err != nil {
-			return nil, err
-		}
-		if cp.Engine, err = eng.Snapshot(); err != nil {
-			return nil, err
-		}
-		cp.Metrics = acc.State()
-	} else {
-		sys, err := core.NewSystem(s.coreConfig(set, plan, pol, sink))
-		if err != nil {
-			return nil, err
-		}
-		cs, err := sys.RunToCheckpoint(at.D())
-		if err != nil {
-			return nil, err
-		}
-		cp.Engine, cp.Metrics = cs.Engine, cs.Metrics
+	if err := c.flush(); err != nil {
+		return nil, err
 	}
-	if spill != nil {
-		if err := spill.Flush(); err != nil {
-			return nil, fmt.Errorf("sim: spilling trace: %w", err)
-		}
-	}
-	return cp, nil
+	return &Checkpoint{Version: CheckpointVersion, At: at, Scenario: s.sc, Engine: cs.Engine, Metrics: cs.Metrics}, nil
 }
 
 // Resume builds a System that continues a checkpointed run. Its Run
@@ -260,60 +164,4 @@ func Resume(cp *Checkpoint) (*System, error) {
 	}
 	sys.resume = cp
 	return sys, nil
-}
-
-// runResumed is Run for a System built by Resume.
-func (s *System) runResumed() (*RunResult, error) {
-	set, plan, pol, err := s.compileStream()
-	if err != nil {
-		return nil, err
-	}
-	var spill *trace.WriterSink
-	var sink trace.Sink
-	if s.spill != nil {
-		spill = trace.NewWriterSink(s.spill)
-		sink = spill
-	}
-	res := &RunResult{Scenario: s.sc}
-	if s.sc.SkipAdmission || s.sc.CPUs > 1 {
-		acc := metrics.NewAccumulator()
-		cfg, err := s.engineConfig(set, plan, pol, trace.Tee(acc, sink))
-		if err != nil {
-			return nil, err
-		}
-		eng, err := engine.New(cfg)
-		if err != nil {
-			return nil, err
-		}
-		if err := acc.RestoreState(s.resume.Metrics); err != nil {
-			return nil, err
-		}
-		if err := eng.Restore(s.resume.Engine); err != nil {
-			return nil, err
-		}
-		res.Log = eng.Run()
-		res.Report = acc.Report()
-		res.Switches = eng.Switches()
-	} else {
-		sys, err := core.NewSystem(s.coreConfig(set, plan, pol, sink))
-		if err != nil {
-			return nil, err
-		}
-		r, err := sys.RunFrom(&core.CheckpointState{Engine: s.resume.Engine, Metrics: s.resume.Metrics})
-		if err != nil {
-			return nil, err
-		}
-		res.Log = r.Log
-		res.Report = r.Report
-		res.Admission = r.Admission
-		res.Allowance = r.Allowance
-		res.Detections = r.Detections
-		res.Switches = r.Switches
-	}
-	if spill != nil {
-		if err := spill.Flush(); err != nil {
-			return nil, fmt.Errorf("sim: spilling trace: %w", err)
-		}
-	}
-	return res, nil
 }

@@ -252,3 +252,39 @@ func TestCheckpointableGenerator(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckpointRunsIgnoreProgress pins the documented ObserveProgress
+// contract: a plain run reports progress, while neither the segment up
+// to a checkpoint nor the resumed segment calls the observer.
+func TestCheckpointRunsIgnoreProgress(t *testing.T) {
+	sc := gen.Checkpointable(3)
+	calls := 0
+	observe := func(Duration) { calls++ }
+	sys, err := FromScenario(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.ObserveProgress(Millis(1), observe)
+	if _, err := sys.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if calls == 0 {
+		t.Fatal("a plain run never reported progress")
+	}
+	calls = 0
+	cp, err := sys.RunToCheckpoint(sc.Horizon / 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := Resume(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed.ObserveProgress(Millis(1), observe)
+	if _, err := resumed.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if calls != 0 {
+		t.Errorf("checkpoint and resumed segments reported progress %d times", calls)
+	}
+}

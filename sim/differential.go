@@ -97,7 +97,7 @@ func differentialOne(seed uint64) (DifferentialPoint, error) {
 		point.Modes = append(point.Modes, mode)
 	}
 	if res := reports[scenario.CollectRetain]; res != nil {
-		for _, s := range res.Report.Tasks {
+		for _, s := range res.Report.Tasks { // order-independent: a sum
 			point.Released += s.Released
 		}
 	}
@@ -164,7 +164,7 @@ func reportDivergence(retained, streamed *RunResult) string {
 		return fmt.Sprintf("task count %d vs %d", len(a), len(b))
 	}
 	names := make([]string, 0, len(a))
-	for name := range a {
+	for name := range a { // order-independent: sorted below
 		names = append(names, name)
 	}
 	sort.Strings(names)

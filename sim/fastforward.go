@@ -108,7 +108,7 @@ func fastForwardOne(seed uint64) (FastForwardPoint, error) {
 	if err != nil {
 		return point, fmt.Errorf("seed %#x (full reference run): %w", seed, err)
 	}
-	for _, s := range refRes.Report.Tasks {
+	for _, s := range refRes.Report.Tasks { // order-independent: a sum
 		point.Released += s.Released
 	}
 

@@ -271,9 +271,9 @@ type Scenario struct {
 	// Seed drives the run's randomness: the §4.1 stop jitter, and
 	// any jitter fault that does not carry its own seed.
 	Seed uint64 `json:"seed,omitempty"`
-	// SkipAdmission runs the bare engine without the paper's
-	// admission control — required for overload scenarios that are
-	// deliberately infeasible. Only valid with Treatment none.
+	// SkipAdmission runs without the paper's admission control —
+	// required for overload scenarios that are deliberately
+	// infeasible. Only valid with Treatment none.
 	SkipAdmission bool `json:"skip_admission,omitempty"`
 	// Collect selects run-data retention (nil = retain everything).
 	// Streaming collection cannot combine with servers: the aperiodic

@@ -245,7 +245,7 @@ func ShardDifferentialSweep(ctx context.Context, base uint64, n int, opt RunOpti
 			Overload: scs[i].SkipAdmission,
 			Switches: sharded[i].Switches,
 		}
-		for _, s := range rep.Tasks {
+		for _, s := range rep.Tasks { // order-independent: a sum
 			p.Released += s.Released
 		}
 		points[i] = p

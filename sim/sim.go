@@ -225,9 +225,9 @@ func WithSeed(seed uint64) Option {
 	return func(sc *Scenario) error { sc.Seed = seed; return nil }
 }
 
-// WithoutAdmission skips the paper's admission control and runs the
-// bare engine — required for deliberately overloaded scenarios. Only
-// valid with treatment none.
+// WithoutAdmission skips the paper's admission control (and with it
+// the allowance analysis and the supervisor) — required for
+// deliberately overloaded scenarios. Only valid with treatment none.
 func WithoutAdmission() Option {
 	return func(sc *Scenario) error { sc.SkipAdmission = true; return nil }
 }

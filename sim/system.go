@@ -156,9 +156,73 @@ func Policies() []string { return engine.PolicyNames() }
 // Run compiles the scenario and simulates it to the horizon. On a
 // System built by Resume it continues the checkpointed run instead.
 func (s *System) Run() (*RunResult, error) {
-	if s.resume != nil {
-		return s.runResumed()
+	c, err := s.compile(s.resume == nil)
+	if err != nil {
+		return nil, err
 	}
+	var r *core.Result
+	if s.resume != nil {
+		r, err = c.sys.RunFrom(&core.CheckpointState{Engine: s.resume.Engine, Metrics: s.resume.Metrics})
+	} else {
+		r, err = c.sys.Run()
+	}
+	if err != nil {
+		// An invariant-oracle failure surfaces here after the engine
+		// ran: the spilled trace of the violating run is exactly the
+		// debugging artefact, so keep it (the run error wins over a
+		// flush failure).
+		_ = c.flush()
+		return nil, err
+	}
+	if err := c.flush(); err != nil {
+		return nil, err
+	}
+	res := &RunResult{
+		Scenario:      s.sc,
+		Log:           r.Log,
+		Report:        r.Report,
+		Admission:     r.Admission,
+		Allowance:     r.Allowance,
+		Detections:    r.Detections,
+		Switches:      r.Switches,
+		SkippedCycles: r.SkippedCycles,
+	}
+	if len(c.servers) > 0 {
+		res.Served = make(map[string][]aperiodic.Served, len(c.servers))
+		for name, ps := range c.servers { // order-independent: fills a map
+			res.Served[name] = ps.Analyze(res.Log)
+		}
+	}
+	return res, nil
+}
+
+// compiled is a scenario lowered onto core, plus what a run settles
+// afterwards: the spill to flush and the servers whose service it
+// analyzes.
+type compiled struct {
+	sys     *core.System
+	spill   *trace.WriterSink
+	servers map[string]*aperiodic.PollingServer
+}
+
+// flush drains the trace spill, if any.
+func (c *compiled) flush() error {
+	if c.spill == nil {
+		return nil
+	}
+	if err := c.spill.Flush(); err != nil {
+		return fmt.Errorf("sim: spilling trace: %w", err)
+	}
+	return nil
+}
+
+// compile is the one place a scenario becomes a runnable system, for
+// Run, RunToCheckpoint and resumed runs alike. Admission control runs
+// in core.NewSystem unless the scenario skips it (skip_admission, or
+// cpus > 1, which has no uniprocessor admission test — partitioned
+// placement is admitted per core by the bin packing in sc.Partition).
+// observe tees the ObserveProgress callback into the trace sink.
+func (s *System) compile(observe bool) (*compiled, error) {
 	sc := s.sc
 	set, err := taskset.New(taskSlice(sc.Tasks)...)
 	if err != nil {
@@ -172,7 +236,7 @@ func (s *System) Run() (*RunResult, error) {
 	// model joins the plan. A fault entry declared on a server task
 	// composes with the polling model (a buggy server overrunning its
 	// declared capacity).
-	servers := make(map[string]*aperiodic.PollingServer, len(sc.Servers))
+	c := &compiled{servers: make(map[string]*aperiodic.PollingServer, len(sc.Servers))}
 	for _, spec := range sc.Servers {
 		ps := spec.Server()
 		// A source-fed server materializes its request stream from the
@@ -193,7 +257,7 @@ func (s *System) Run() (*RunResult, error) {
 		if _, isNone := declared.(fault.None); !isNone {
 			plan[ps.Task.Name] = fault.Chain{plan[ps.Task.Name], declared}
 		}
-		servers[ps.Task.Name] = ps
+		c.servers[ps.Task.Name] = ps
 	}
 	tr, err := ParseTreatment(sc.Treatment)
 	if err != nil {
@@ -203,156 +267,59 @@ func (s *System) Run() (*RunResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	partition, err := sc.Partition()
+	if err != nil {
+		return nil, err
+	}
+	// Task-targeted arrival sources (validation pins them to
+	// skip_admission). The slice aligns with the set: periodic tasks
+	// first, then server tasks (nil there).
+	sources, err := sc.TaskSources()
+	if err != nil {
+		return nil, err
+	}
 	collect := engine.Retain
 	if sc.Streaming() {
 		collect = engine.Stream
 	}
-	var spill *trace.WriterSink
 	var sink trace.Sink
 	if s.spill != nil {
-		spill = trace.NewWriterSink(s.spill)
-		sink = spill
+		c.spill = trace.NewWriterSink(s.spill)
+		sink = c.spill
 	}
-	if s.progress != nil {
+	if observe && s.progress != nil {
 		sink = trace.Tee(s.progress, sink)
 	}
-	res := &RunResult{Scenario: sc}
-	if sc.SkipAdmission || sc.CPUs > 1 {
-		// Bare-engine path: overload scenarios skip the uniprocessor
-		// admission control deliberately; multiprocessor runs have no
-		// uniprocessor admission test to apply (partitioned placement
-		// is admitted per core by the bin packing in sc.Partition).
-		partition, err := sc.Partition()
-		if err != nil {
+	var oracle *verify.Checker
+	if sc.Verify {
+		if oracle, err = verify.ForScenario(&sc); err != nil {
 			return nil, err
-		}
-		// Task-targeted arrival sources (validation pins them to
-		// skip_admission, hence to this path). The slice aligns with
-		// the set: periodic tasks first, then server tasks (nil there).
-		sources, err := sc.TaskSources()
-		if err != nil {
-			return nil, err
-		}
-		var acc *metrics.Accumulator
-		if collect == engine.Stream {
-			acc = metrics.NewAccumulator()
-			sink = trace.Tee(acc, sink)
-		}
-		// The bare-engine path wires fast-forward itself (no core System
-		// exists to do it). The skipped cycles produce no trace events,
-		// so a spill or progress observer would see a hole — refuse the
-		// combination like core's TraceSink check does.
-		var obs engine.CycleObserver
-		if sc.FastForward {
-			if s.spill != nil || s.progress != nil {
-				return nil, fmt.Errorf("sim: fast-forward cannot combine with a trace spill or progress observer (extrapolated cycles produce no events)")
-			}
-			obs = acc
-		}
-		var chk *verify.Checker
-		if sc.Verify {
-			// The bare-engine path wires the oracle itself (no core
-			// System exists to do it); treatment is necessarily none
-			// here, so no detector offsets apply. The admitted-system
-			// twin lives in core.RunWith — change both together.
-			chk, err = verify.ForScenario(&sc)
-			if err != nil {
-				return nil, err
-			}
-			sink = trace.Tee(chk, sink)
-		}
-		eng, err := engine.New(engine.Config{
-			Tasks:         set,
-			Sources:       sources,
-			Faults:        plan,
-			End:           vtime.Time(sc.Horizon),
-			Policy:        pol,
-			StopPoll:      sc.StopPoll.D(),
-			StopJitterMax: sc.StopJitterMax.D(),
-			Seed:          sc.Seed,
-			ContextSwitch: sc.ContextSwitch.D(),
-			Collect:       collect,
-			Sink:          sink,
-			CPUs:          sc.CPUs,
-			Partition:     partition,
-			FastForward:   sc.FastForward,
-			Observer:      obs,
-		})
-		if err != nil {
-			return nil, err
-		}
-		res.Log = eng.Run()
-		if chk != nil {
-			if verr := chk.FinishErr(); verr != nil {
-				// Flush the spill before failing: the spilled trace of
-				// the violating run is exactly the debugging artefact.
-				flushSpill(spill)
-				return nil, fmt.Errorf("sim: invariant oracle: %w", verr)
-			}
-		}
-		if acc != nil {
-			res.Report = acc.Report()
-		} else {
-			res.Report = metrics.Analyze(res.Log)
-		}
-		res.Switches = eng.Switches()
-		res.SkippedCycles = eng.SkippedCycles()
-	} else {
-		sys, err := core.NewSystem(core.Config{
-			Tasks:               set,
-			Treatment:           tr,
-			Faults:              plan,
-			Horizon:             sc.Horizon.D(),
-			TimerResolution:     sc.TimerResolution.D(),
-			StopPoll:            sc.StopPoll.D(),
-			StopJitterMax:       sc.StopJitterMax.D(),
-			Seed:                sc.Seed,
-			ContextSwitch:       sc.ContextSwitch.D(),
-			Policy:              pol,
-			Collect:             collect,
-			TraceSink:           sink,
-			Verify:              sc.Verify,
-			VerifyServerBudgets: verify.ServerBudgets(&sc),
-			FastForward:         sc.FastForward,
-		})
-		if err != nil {
-			return nil, err
-		}
-		r, err := sys.Run()
-		if err != nil {
-			// An invariant-oracle failure surfaces here after the
-			// engine ran: keep whatever trace was spilled.
-			flushSpill(spill)
-			return nil, err
-		}
-		res.Log = r.Log
-		res.Report = r.Report
-		res.Admission = r.Admission
-		res.Allowance = r.Allowance
-		res.Detections = r.Detections
-		res.Switches = r.Switches
-		res.SkippedCycles = r.SkippedCycles
-	}
-	if spill != nil {
-		if err := spill.Flush(); err != nil {
-			return nil, fmt.Errorf("sim: spilling trace: %w", err)
 		}
 	}
-	if len(servers) > 0 {
-		res.Served = make(map[string][]aperiodic.Served, len(servers))
-		for name, ps := range servers {
-			res.Served[name] = ps.Analyze(res.Log)
-		}
+	c.sys, err = core.NewSystem(core.Config{
+		Tasks:           set,
+		Treatment:       tr,
+		Faults:          plan,
+		Horizon:         sc.Horizon.D(),
+		TimerResolution: sc.TimerResolution.D(),
+		StopPoll:        sc.StopPoll.D(),
+		StopJitterMax:   sc.StopJitterMax.D(),
+		Seed:            sc.Seed,
+		ContextSwitch:   sc.ContextSwitch.D(),
+		Policy:          pol,
+		SkipAdmission:   sc.SkipAdmission,
+		CPUs:            sc.CPUs,
+		Partition:       partition,
+		Sources:         sources,
+		Collect:         collect,
+		TraceSink:       sink,
+		FastForward:     sc.FastForward,
+		Oracle:          oracle,
+	})
+	if err != nil {
+		return nil, err
 	}
-	return res, nil
-}
-
-// flushSpill drains the spill sink on an error path, best effort —
-// the run error takes precedence over a flush failure.
-func flushSpill(spill *trace.WriterSink) {
-	if spill != nil {
-		_ = spill.Flush()
-	}
+	return c, nil
 }
 
 func taskSlice(specs []Task) []taskset.Task {
