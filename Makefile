@@ -5,7 +5,7 @@ GO ?= go
 # bash for pipefail in bench-json.
 SHELL := /bin/bash
 
-.PHONY: build test race bench bench-json bench-gate script-lint fmt vet fmt-check x11 x12 x13 x14 x15 fuzz-smoke serve-smoke perfbench-test ci
+.PHONY: build test race bench bench-json bench-gate script-lint fmt vet fmt-check x11 x12 x13 x14 x15 fuzz-smoke serve-smoke perfbench-test perfbench-smoke ci
 
 build:
 	$(GO) build ./...
@@ -121,6 +121,19 @@ serve-smoke:
 perfbench-test:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
+# A 1-second run of each perfbench workload through its own entry
+# point: every run checks its outputs (served reports and envelopes
+# against direct sim runs, hit/miss counts, batch reports), so the
+# last stdout line must report correct with no failed operation.
+perfbench-smoke:
+	@set -o pipefail; for w in serve-hot serve-cold batch-long; do \
+		line=$$(bash perfbench/run.sh --workload $$w --seconds 1 | tail -n 1) || exit 1; \
+		case "$$line" in \
+		'{"correct":true,'*'"failed":0,'*) echo "perfbench-smoke: $$w correct" ;; \
+		*) echo "perfbench-smoke: $$w: $$line" >&2; exit 1 ;; \
+		esac; \
+	done
+
 # Short native-fuzz smoke over the scenario space, the log codec, and
 # the checkpoint split/resume differential.
 fuzz-smoke:
@@ -128,4 +141,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzCheckpoint -fuzztime 10s ./internal/verify/gen
 
-ci: build vet fmt-check script-lint race perfbench-test bench-json bench-gate x11 x12 x13 x14 x15 serve-smoke
+ci: build vet fmt-check script-lint race perfbench-test perfbench-smoke bench-json bench-gate x11 x12 x13 x14 x15 serve-smoke

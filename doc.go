@@ -261,11 +261,20 @@
 // of the canonical scenario bytes plus scenario.SchemaVersion, so an
 // engine behaviour change invalidates every stale key): repeat
 // requests are cache hits, and N concurrent identical POSTs are
-// single-flighted into one simulation. Work is admitted onto a
+// single-flighted into one simulation. A raw-body index in front of
+// the digest keys each entry by the SHA-256 of request bodies exactly
+// as received, recorded once a body has decoded, passed the path
+// check and been digested; an exact byte repeat joins its entry
+// without decoding or digesting and answers the same bytes. An entry
+// keeps at most 4 raw keys, which leave with it on eviction or a
+// failed run. A body is read whole under the body cap: past the cap
+// it is a 413 even when a valid document ends first, and anything but
+// whitespace after the document is a 400. Work is admitted onto a
 // bounded internal/runner pool; a full accept queue sheds load with
 // HTTP 429 + Retry-After rather than queueing without bound, and GET
-// /healthz + GET /metrics (counters, queue depth, in-flight, and a
-// GK-sketch latency histogram) make the shedding observable.
+// /healthz + GET /metrics (counters including raw_hits, queue depth,
+// in-flight, cache and raw-index sizes, and a GK-sketch latency
+// histogram) make the shedding observable.
 // ?stream=sse upgrades a request to server-sent events carrying
 // queued/progress/result. cmd/rtload is the matching load generator:
 // paced open-loop bursts over a scenario mix with exit-code

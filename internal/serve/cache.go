@@ -2,6 +2,7 @@ package serve
 
 import (
 	"container/list"
+	"crypto/sha256"
 	"sync"
 )
 
@@ -27,6 +28,15 @@ type result struct {
 	successRatio float64
 }
 
+// rawKey is the SHA-256 of a request body exactly as received.
+type rawKey [sha256.Size]byte
+
+// maxRawKeys bounds the raw keys one entry carries, so the raw index
+// never holds more than maxRawKeys keys per resident entry however
+// many spellings of one scenario arrive. A spelling beyond the bound
+// still hits, through the full decode-and-digest path.
+const maxRawKeys = 4
+
 // entry is one content-addressed cache slot. It doubles as the
 // singleflight rendezvous: the request that creates it owns the
 // simulation, every other request for the same digest waits on done.
@@ -35,6 +45,10 @@ type entry struct {
 	done   chan struct{} // closed once res/err are final
 	res    *result
 	err    error
+
+	// Guarded by the owning cache's mu.
+	el  *list.Element // LRU position once completed; nil in flight
+	raw []rawKey      // raw-index keys that resolve to this entry
 
 	mu      sync.Mutex
 	subs    []chan Progress
@@ -98,59 +112,96 @@ func (e *entry) publish(p Progress) {
 // how many distinct scenarios arrive); in-flight entries live only in
 // the map and cannot be evicted, so singleflight rendezvous is never
 // lost mid-run.
+//
+// In front of the digest map sits the raw index: the SHA-256 of a
+// request body that already decoded, passed the path check and
+// digested, mapped to its entry. A byte-identical repeat resolves
+// through it without decoding. A raw key is added and removed under
+// the same lock as its entry, so it never outlives the entry.
 type cache struct {
 	mu      sync.Mutex
 	max     int
 	entries map[string]*entry
-	lru     *list.List // completed digests, front = most recent
-	pos     map[string]*list.Element
+	raw     map[rawKey]*entry
+	lru     *list.List // completed entries, front = most recent
 }
 
 func newCache(max int) *cache {
 	return &cache{
 		max:     max,
 		entries: make(map[string]*entry),
+		raw:     make(map[rawKey]*entry),
 		lru:     list.New(),
-		pos:     make(map[string]*list.Element),
 	}
 }
 
 // lookup returns the entry for digest, creating an in-flight one when
-// absent. created reports whether the caller owns the simulation (the
+// absent, and indexes raw (the body the digest came from) against it.
+// created reports whether the caller owns the simulation (the
 // singleflight winner); everyone else waits on the entry.
-func (c *cache) lookup(digest string) (e *entry, created bool) {
+func (c *cache) lookup(digest string, raw rawKey) (e *entry, created bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.entries[digest]; ok {
-		if el, ok := c.pos[digest]; ok {
-			c.lru.MoveToFront(el)
-		}
-		return e, false
+	e, ok := c.entries[digest]
+	if ok {
+		c.touch(e)
+	} else {
+		e = newEntry(digest)
+		c.entries[digest] = e
 	}
-	e = newEntry(digest)
-	c.entries[digest] = e
-	return e, true
+	// A raw key already indexed resolves to e: equal bytes decode to
+	// the same digest.
+	if _, known := c.raw[raw]; !known && len(e.raw) < maxRawKeys {
+		e.raw = append(e.raw, raw)
+		c.raw[raw] = e
+	}
+	return e, !ok
+}
+
+// lookupRaw returns the entry raw indexes, or nil. It never creates
+// one: only the full path holds a decoded scenario to run.
+func (c *cache) lookupRaw(raw rawKey) *entry {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e := c.raw[raw]
+	if e != nil {
+		c.touch(e)
+	}
+	return e
+}
+
+// touch marks a completed entry most recently used.
+func (c *cache) touch(e *entry) {
+	if e.el != nil {
+		c.lru.MoveToFront(e.el)
+	}
 }
 
 // completed finalizes an entry. Successes join the LRU (evicting the
 // coldest results beyond max); failures are forgotten so a transient
 // error — notably admission-queue overload — is retried by the next
-// request instead of being served forever.
+// request instead of being served forever. Waiters wake only after
+// the cache is updated, so a client holding its answer never finds a
+// failed entry (or its raw keys) still resident.
 func (c *cache) completed(e *entry, res *result, err error) {
-	e.complete(res, err)
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	if err != nil {
-		delete(c.entries, e.digest)
-		return
+		c.drop(e)
+	} else {
+		e.el = c.lru.PushFront(e)
+		for c.lru.Len() > c.max {
+			c.drop(c.lru.Remove(c.lru.Back()).(*entry))
+		}
 	}
-	c.pos[e.digest] = c.lru.PushFront(e.digest)
-	for c.lru.Len() > c.max {
-		el := c.lru.Back()
-		d := el.Value.(string)
-		c.lru.Remove(el)
-		delete(c.pos, d)
-		delete(c.entries, d)
+	c.mu.Unlock()
+	e.complete(res, err)
+}
+
+// drop removes e and its raw keys. c.mu must be held.
+func (c *cache) drop(e *entry) {
+	delete(c.entries, e.digest)
+	for _, k := range e.raw {
+		delete(c.raw, k)
 	}
 }
 
@@ -159,4 +210,11 @@ func (c *cache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.entries)
+}
+
+// rawLen is the number of raw-index keys.
+func (c *cache) rawLen() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.raw)
 }

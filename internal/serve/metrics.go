@@ -18,6 +18,7 @@ type Metrics struct {
 	requests    atomic.Int64
 	simulate    atomic.Int64
 	hits        atomic.Int64
+	rawHits     atomic.Int64
 	misses      atomic.Int64
 	throttled   atomic.Int64
 	badRequests atomic.Int64
@@ -47,12 +48,15 @@ type LatencySnapshot struct {
 	P99MS float64 `json:"p99_ms"`
 }
 
-// Snapshot is the machine-readable /metrics document.
+// Snapshot is the machine-readable /metrics document. RawHits counts
+// the cache hits (within CacheHits) resolved through the raw-body
+// index without decoding; RawIndexEntries is that index's size.
 type Snapshot struct {
 	RequestsTotal    int64           `json:"requests_total"`
 	SimulateRequests int64           `json:"simulate_requests"`
 	CacheHits        int64           `json:"cache_hits"`
 	CacheMisses      int64           `json:"cache_misses"`
+	RawHits          int64           `json:"raw_hits"`
 	Throttled        int64           `json:"throttled"`
 	BadRequests      int64           `json:"bad_requests"`
 	RunErrors        int64           `json:"run_errors"`
@@ -61,6 +65,7 @@ type Snapshot struct {
 	QueueCap         int             `json:"queue_cap"`
 	InFlight         int             `json:"in_flight"`
 	CacheEntries     int             `json:"cache_entries"`
+	RawIndexEntries  int             `json:"raw_index_entries"`
 	Latency          LatencySnapshot `json:"latency"`
 }
 

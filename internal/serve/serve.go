@@ -28,10 +28,13 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -147,6 +150,7 @@ func (s *Server) snapshot() Snapshot {
 		SimulateRequests: s.met.simulate.Load(),
 		CacheHits:        s.met.hits.Load(),
 		CacheMisses:      s.met.misses.Load(),
+		RawHits:          s.met.rawHits.Load(),
 		Throttled:        s.met.throttled.Load(),
 		BadRequests:      s.met.badRequests.Load(),
 		RunErrors:        s.met.runErrors.Load(),
@@ -155,6 +159,7 @@ func (s *Server) snapshot() Snapshot {
 		QueueCap:         s.pool.QueueCap(),
 		InFlight:         s.pool.InFlight(),
 		CacheEntries:     s.cache.len(),
+		RawIndexEntries:  s.cache.rawLen(),
 		Latency:          s.met.latencySnapshot(),
 	}
 }
@@ -200,37 +205,67 @@ func (s *Server) throttle(w http.ResponseWriter) {
 	errorBody(w, http.StatusTooManyRequests, "accept queue full, retry later")
 }
 
-func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.maxBody())
-	sc, err := scenario.Decode(body)
-	if err != nil {
-		s.met.badRequests.Add(1)
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			errorBody(w, http.StatusRequestEntityTooLarge, err.Error())
-			return
-		}
-		errorBody(w, http.StatusBadRequest, err.Error())
+// errPathSource refuses a path-referenced trace source: the digest
+// covers only the scenario document, so the file's content is
+// invisible to the cache key — two different traces behind the same
+// path would alias one cache entry (and the path names a client-local
+// file this server has no business reading anyway).
+var errPathSource = errors.New("trace arrival sources must inline their records (\"records\"): a \"path\" reference is not content-addressable")
+
+// badRequest answers a body that cannot be served: 413 past the body
+// cap, 400 otherwise.
+func (s *Server) badRequest(w http.ResponseWriter, err error) {
+	s.met.badRequests.Add(1)
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		errorBody(w, http.StatusRequestEntityTooLarge, err.Error())
 		return
 	}
-	// A path-referenced trace source is rejected outright: the digest
-	// covers only the scenario document, so the file's content is
-	// invisible to the cache key — two different traces behind the
-	// same path would alias one cache entry (and the path names a
-	// client-local file this server has no business reading anyway).
+	errorBody(w, http.StatusBadRequest, err.Error())
+}
+
+// decodeBody is the full path a body takes before the raw index knows
+// it: strict decode and validation, the path-source check, and the
+// canonical digest.
+func decodeBody(body []byte) (*scenario.Scenario, string, error) {
+	sc, err := scenario.Decode(bytes.NewReader(body))
+	if err != nil {
+		return nil, "", err
+	}
 	if sc.HasPathSource() {
-		s.met.badRequests.Add(1)
-		errorBody(w, http.StatusBadRequest, "trace arrival sources must inline their records (\"records\"): a \"path\" reference is not content-addressable")
-		return
+		return nil, "", errPathSource
 	}
 	digest, err := sc.Digest()
 	if err != nil {
-		s.met.badRequests.Add(1)
-		errorBody(w, http.StatusBadRequest, err.Error())
+		return nil, "", err
+	}
+	return sc, digest, nil
+}
+
+func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
+	// The whole body is read under the cap, so an oversized one is a
+	// 413 even when a valid document ends before the cap.
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.maxBody()))
+	if err != nil {
+		s.badRequest(w, err)
 		return
 	}
-
-	e, created := s.cache.lookup(digest)
+	raw := rawKey(sha256.Sum256(body))
+	var sc *scenario.Scenario
+	created := false
+	e := s.cache.lookupRaw(raw)
+	if e != nil {
+		// A byte-identical repeat of a body the full path accepted:
+		// same digest, so join its entry without decoding.
+		s.met.rawHits.Add(1)
+	} else {
+		var digest string
+		if sc, digest, err = decodeBody(body); err != nil {
+			s.badRequest(w, err)
+			return
+		}
+		e, created = s.cache.lookup(digest, raw)
+	}
 	if created {
 		// Singleflight owner: this request (alone) pays for admission.
 		// Everyone else for the same digest — concurrent or later —
@@ -261,7 +296,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if wantsSSE(r) {
-		s.streamSimulate(w, r, e, digest, cacheStatus)
+		s.streamSimulate(w, r, e, cacheStatus)
 		return
 	}
 
@@ -284,7 +319,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		errorBody(w, http.StatusUnprocessableEntity, e.err.Error())
 		return
 	}
-	s.writeResult(w, r, e, digest, cacheStatus)
+	s.writeResult(w, r, e, cacheStatus)
 }
 
 // envelope is the deterministic JSON response for one digest: rebuilt
@@ -299,19 +334,19 @@ type envelope struct {
 	SuccessRatio float64 `json:"success_ratio"`
 }
 
-func resultEnvelope(digest string, res *result) envelope {
+func resultEnvelope(e *entry) envelope {
 	return envelope{
-		Digest:       digest,
-		Report:       string(res.report),
-		Detections:   res.detections,
-		Switches:     res.switches,
-		SuccessRatio: res.successRatio,
+		Digest:       e.digest,
+		Report:       string(e.res.report),
+		Detections:   e.res.detections,
+		Switches:     e.res.switches,
+		SuccessRatio: e.res.successRatio,
 	}
 }
 
-func (s *Server) writeResult(w http.ResponseWriter, r *http.Request, e *entry, digest, cacheStatus string) {
+func (s *Server) writeResult(w http.ResponseWriter, r *http.Request, e *entry, cacheStatus string) {
 	h := w.Header()
-	h.Set("X-Scenario-Digest", digest)
+	h.Set("X-Scenario-Digest", e.digest)
 	h.Set("X-Cache", cacheStatus)
 	if r.URL.Query().Get("format") == "report" {
 		// The raw report: byte-equal to the summary `rtrun -scenario`
@@ -323,7 +358,7 @@ func (s *Server) writeResult(w http.ResponseWriter, r *http.Request, e *entry, d
 	h.Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
-	enc.Encode(resultEnvelope(digest, e.res))
+	enc.Encode(resultEnvelope(e))
 }
 
 // simulate is the real run function: scenario → sim.System → report.

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -44,13 +45,32 @@ func post(t *testing.T, h http.Handler, path string, body []byte) *httptest.Resp
 	return rec
 }
 
+// compacted is body with its insignificant whitespace removed: the
+// same scenario (and digest) under different bytes.
+func compacted(t *testing.T, body []byte) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := json.Compact(&b, body); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
 // TestServedReportMatchesLocalRun pins the service's core contract
 // for every committed example scenario: the served report is
 // byte-equal to the summary a local `rtrun -scenario` run prints
 // (rtrun prints RunResult.Summary() verbatim — the CLI-level twin of
 // this pin is scripts/serve_smoke.sh, which cmp's against the real
-// binary). The repeat POST must be a cache hit with an identical
-// body.
+// binary).
+//
+// It also pins that the raw-body index changes no reply. Each reply
+// format goes to a fresh server as four legs: the canonical body (the
+// miss), the compacted body (a hit through decode and digest), then
+// each again (raw hits). Every leg answers the same status,
+// X-Scenario-Digest, Content-Type and body, and all but the first say
+// X-Cache: hit. Under SSE the miss streams its own queued and progress
+// events, so there every leg's result event is the envelope and the
+// three hits stream identical bytes.
 func TestServedReportMatchesLocalRun(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("..", "..", "testdata", "scenarios", "*.json"))
 	if err != nil {
@@ -59,8 +79,6 @@ func TestServedReportMatchesLocalRun(t *testing.T) {
 	if len(files) == 0 {
 		t.Fatal("no example scenarios found")
 	}
-	s := New(Config{Workers: 2})
-	defer s.Close()
 	for _, path := range files {
 		t.Run(filepath.Base(path), func(t *testing.T) {
 			sys, err := sim.Load(path)
@@ -77,60 +95,107 @@ func TestServedReportMatchesLocalRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			body, err := scenario.Marshal(raw)
+			canon, err := scenario.Marshal(raw)
 			if err != nil {
 				t.Fatal(err)
-			}
-
-			rec := post(t, s, "/v1/simulate?format=report", body)
-			if rec.Code != http.StatusOK {
-				t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
-			}
-			if got := rec.Body.String(); got != want {
-				t.Errorf("served report differs from local run:\n--- served ---\n%s\n--- local ---\n%s", got, want)
-			}
-			if cs := rec.Header().Get("X-Cache"); cs != "miss" {
-				t.Errorf("first POST X-Cache = %q, want miss", cs)
-			}
-
-			rec2 := post(t, s, "/v1/simulate?format=report", body)
-			if rec2.Code != http.StatusOK {
-				t.Fatalf("repeat status %d", rec2.Code)
-			}
-			if cs := rec2.Header().Get("X-Cache"); cs != "hit" {
-				t.Errorf("repeat POST X-Cache = %q, want hit", cs)
-			}
-			if !bytes.Equal(rec2.Body.Bytes(), rec.Body.Bytes()) {
-				t.Error("cache hit returned different bytes than the original response")
-			}
-
-			// The JSON envelope is deterministic too, and carries the
-			// pinned digest.
-			recJ := post(t, s, "/v1/simulate", body)
-			recJ2 := post(t, s, "/v1/simulate", body)
-			if !bytes.Equal(recJ.Body.Bytes(), recJ2.Body.Bytes()) {
-				t.Error("envelope bytes differ between miss-path and hit-path responses")
-			}
-			var env envelope
-			if err := json.Unmarshal(recJ.Body.Bytes(), &env); err != nil {
-				t.Fatalf("envelope: %v", err)
-			}
-			if env.Report != want {
-				t.Error("envelope report differs from local run")
 			}
 			wantDigest, err := raw.Digest()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if env.Digest != wantDigest {
-				t.Errorf("envelope digest %s, want %s", env.Digest, wantDigest)
+			bodies := [][]byte{canon, compacted(t, canon), canon, compacted(t, canon)}
+
+			var envelopeBody []byte
+			for _, query := range []string{"", "?format=report", "?stream=sse"} {
+				legs := postLegs(t, query, bodies)
+				for i, rec := range legs {
+					if rec.Code != http.StatusOK {
+						t.Fatalf("%q leg %d: status %d: %s", query, i, rec.Code, rec.Body.String())
+					}
+					wantCache := "hit"
+					if i == 0 {
+						wantCache = "miss"
+					}
+					if cs := rec.Header().Get("X-Cache"); cs != wantCache {
+						t.Errorf("%q leg %d: X-Cache %q, want %q", query, i, cs, wantCache)
+					}
+					if d := rec.Header().Get("X-Scenario-Digest"); d != wantDigest {
+						t.Errorf("%q leg %d: X-Scenario-Digest %s, want %s", query, i, d, wantDigest)
+					}
+					if ct, ct0 := rec.Header().Get("Content-Type"), legs[0].Header().Get("Content-Type"); ct != ct0 {
+						t.Errorf("%q leg %d: Content-Type %q, leg 0 %q", query, i, ct, ct0)
+					}
+				}
+				switch query {
+				case "":
+					// The JSON envelope is deterministic, and carries
+					// the pinned digest.
+					envelopeBody = legs[0].Body.Bytes()
+					var env envelope
+					if err := json.Unmarshal(envelopeBody, &env); err != nil {
+						t.Fatalf("envelope: %v", err)
+					}
+					if env.Report != want {
+						t.Error("envelope report differs from local run")
+					}
+					if env.Digest != wantDigest {
+						t.Errorf("envelope digest %s, want %s", env.Digest, wantDigest)
+					}
+					sameBodies(t, query, legs)
+				case "?format=report":
+					if got := legs[0].Body.String(); got != want {
+						t.Errorf("served report differs from local run:\n--- served ---\n%s\n--- local ---\n%s", got, want)
+					}
+					sameBodies(t, query, legs)
+				default:
+					for i, rec := range legs {
+						results := parseSSE(t, rec.Body.String())["result"]
+						if len(results) != 1 || strings.TrimSpace(results[0]) != strings.TrimSpace(string(envelopeBody)) {
+							t.Errorf("SSE leg %d: result events %q, want the envelope", i, results)
+						}
+					}
+					sameBodies(t, query, legs[1:])
+				}
 			}
 		})
 	}
 }
 
+// postLegs posts bodies in order to a fresh server and checks they
+// cost one simulation, with every repeat of earlier bytes a raw hit.
+func postLegs(t *testing.T, query string, bodies [][]byte) []*httptest.ResponseRecorder {
+	t.Helper()
+	s := New(Config{Workers: 2})
+	defer s.Close()
+	legs := make([]*httptest.ResponseRecorder, len(bodies))
+	seen := map[string]bool{}
+	wantRaw := int64(0)
+	for i, b := range bodies {
+		legs[i] = post(t, s, "/v1/simulate"+query, b)
+		if seen[string(b)] {
+			wantRaw++
+		}
+		seen[string(b)] = true
+	}
+	if snap := s.Metrics(); snap.SimulationsRun != 1 || snap.RawHits != wantRaw {
+		t.Errorf("%q: simulations_run/raw_hits = %d/%d, want 1/%d", query, snap.SimulationsRun, snap.RawHits, wantRaw)
+	}
+	return legs
+}
+
+// sameBodies reports every leg whose body differs from the first's.
+func sameBodies(t *testing.T, query string, legs []*httptest.ResponseRecorder) {
+	t.Helper()
+	for i, rec := range legs[1:] {
+		if !bytes.Equal(rec.Body.Bytes(), legs[0].Body.Bytes()) {
+			t.Errorf("%q: leg %d body differs from the first:\n%s\nvs\n%s", query, i+1, rec.Body.Bytes(), legs[0].Body.Bytes())
+		}
+	}
+}
+
 // TestSingleflightConcurrentIdenticalPosts pins the dedup guarantee
-// with a gated run function: N identical in-flight POSTs cost exactly
+// with a gated run function: N in-flight POSTs of one scenario, half
+// of them compacted (so raw-index and digest hits race), cost exactly
 // one simulation, every response is 200 with identical bytes, and
 // exactly one response is the cache miss.
 func TestSingleflightConcurrentIdenticalPosts(t *testing.T) {
@@ -147,13 +212,14 @@ func TestSingleflightConcurrentIdenticalPosts(t *testing.T) {
 	}
 
 	body := testScenarioJSON(t, "singleflight", 1)
+	bodies := [][]byte{body, compacted(t, body)}
 	recs := make([]*httptest.ResponseRecorder, n)
 	var wg sync.WaitGroup
 	wg.Add(n)
 	for i := 0; i < n; i++ {
 		go func(i int) {
 			defer wg.Done()
-			recs[i] = post(t, s, "/v1/simulate", body)
+			recs[i] = post(t, s, "/v1/simulate", bodies[i%2])
 		}(i)
 	}
 	// Wait until every request has passed the cache lookup (the miss
@@ -187,14 +253,16 @@ func TestSingleflightConcurrentIdenticalPosts(t *testing.T) {
 		t.Errorf("%d responses claim the miss, want exactly 1", misses)
 	}
 
-	// A straggler after completion is a plain cache hit: same bytes,
+	// Stragglers after completion are plain cache hits: same bytes,
 	// still one simulation.
-	late := post(t, s, "/v1/simulate", body)
-	if late.Code != http.StatusOK || late.Header().Get("X-Cache") != "hit" {
-		t.Errorf("late POST: status %d X-Cache %q", late.Code, late.Header().Get("X-Cache"))
-	}
-	if !bytes.Equal(late.Body.Bytes(), recs[0].Body.Bytes()) {
-		t.Error("late cache hit returned different bytes")
+	for _, b := range bodies {
+		late := post(t, s, "/v1/simulate", b)
+		if late.Code != http.StatusOK || late.Header().Get("X-Cache") != "hit" {
+			t.Errorf("late POST: status %d X-Cache %q", late.Code, late.Header().Get("X-Cache"))
+		}
+		if !bytes.Equal(late.Body.Bytes(), recs[0].Body.Bytes()) {
+			t.Error("late cache hit returned different bytes")
+		}
 	}
 	if got := runs.Load(); got != 1 {
 		t.Errorf("late hit re-ran the simulation (%d runs)", got)
@@ -417,25 +485,37 @@ func parseSSE(t *testing.T, s string) map[string][]string {
 }
 
 // TestBadRequests pins the error contract: malformed JSON, unknown
-// fields, and invalid scenarios are 400s (counted, never cached,
-// never simulated); an infeasible-but-valid scenario is a 422.
+// fields, trailing data after the document, and invalid scenarios are
+// 400s, and a body past the cap is a 413 even when a valid document
+// ends before it (all counted, never cached, never simulated); an
+// infeasible-but-valid scenario is a 422.
 func TestBadRequests(t *testing.T) {
-	s := New(Config{Workers: 1})
+	doc, err := os.ReadFile(filepath.Join("..", "..", "testdata", "scenarios", "figure5.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Workers: 1, MaxBodyBytes: int64(len(doc) + 100)})
 	defer s.Close()
-	for name, body := range map[string]string{
-		"malformed":     "{not json",
-		"unknown-field": `{"tasks":[],"horizon":"1s","bogus":1}`,
-		"no-tasks":      `{"tasks":[],"horizon":"1s"}`,
-	} {
+	cases := map[string]struct {
+		body string
+		code int
+	}{
+		"malformed":     {"{not json", http.StatusBadRequest},
+		"unknown-field": {`{"tasks":[],"horizon":"1s","bogus":1}`, http.StatusBadRequest},
+		"no-tasks":      {`{"tasks":[],"horizon":"1s"}`, http.StatusBadRequest},
+		"trailing-data": {string(doc) + "garbage", http.StatusBadRequest},
+		"over-cap":      {string(doc) + strings.Repeat(" ", 1<<20), http.StatusRequestEntityTooLarge},
+	}
+	for name, c := range cases {
 		t.Run(name, func(t *testing.T) {
-			rec := post(t, s, "/v1/simulate", []byte(body))
-			if rec.Code != http.StatusBadRequest {
-				t.Errorf("status %d, want 400", rec.Code)
+			rec := post(t, s, "/v1/simulate", []byte(c.body))
+			if rec.Code != c.code {
+				t.Errorf("status %d, want %d: %s", rec.Code, c.code, rec.Body.String())
 			}
 		})
 	}
-	if s.Metrics().BadRequests != 3 {
-		t.Errorf("bad_requests = %d, want 3", s.Metrics().BadRequests)
+	if got := s.Metrics().BadRequests; got != int64(len(cases)) {
+		t.Errorf("bad_requests = %d, want %d", got, len(cases))
 	}
 	if s.Metrics().SimulationsRun != 0 {
 		t.Error("a bad request reached the simulator")
@@ -465,13 +545,15 @@ func TestBadRequests(t *testing.T) {
 }
 
 // TestMetricsEndpoint pins the /metrics document shape and that the
-// counters move.
+// counters move. The canonical body misses and its repeat is a raw
+// hit; the compacted body hits through decode and digest, and its
+// repeat is a raw hit too. Raw hits count within cache_hits.
 func TestMetricsEndpoint(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Close()
 	body := testScenarioJSON(t, "metrics", 5)
-	for i := 0; i < 3; i++ {
-		if rec := post(t, s, "/v1/simulate", body); rec.Code != http.StatusOK {
+	for i, b := range [][]byte{body, body, compacted(t, body), compacted(t, body)} {
+		if rec := post(t, s, "/v1/simulate", b); rec.Code != http.StatusOK {
 			t.Fatalf("POST %d: status %d", i, rec.Code)
 		}
 	}
@@ -486,14 +568,17 @@ func TestMetricsEndpoint(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
 		t.Fatalf("metrics JSON: %v", err)
 	}
-	if snap.CacheMisses != 1 || snap.CacheHits != 2 {
-		t.Errorf("hits/misses = %d/%d, want 2/1", snap.CacheHits, snap.CacheMisses)
+	if snap.CacheMisses != 1 || snap.CacheHits != 3 || snap.RawHits != 2 {
+		t.Errorf("misses/hits/raw_hits = %d/%d/%d, want 1/3/2", snap.CacheMisses, snap.CacheHits, snap.RawHits)
 	}
 	if snap.SimulationsRun != 1 {
 		t.Errorf("simulations_run = %d, want 1", snap.SimulationsRun)
 	}
-	if snap.Latency.Count != 3 {
-		t.Errorf("latency count = %d, want 3", snap.Latency.Count)
+	if snap.RawIndexEntries != 2 {
+		t.Errorf("raw_index_entries = %d, want 2", snap.RawIndexEntries)
+	}
+	if snap.Latency.Count != 4 {
+		t.Errorf("latency count = %d, want 4", snap.Latency.Count)
 	}
 	if snap.Latency.P99MS < snap.Latency.P50MS {
 		t.Errorf("p99 %v < p50 %v", snap.Latency.P99MS, snap.Latency.P50MS)

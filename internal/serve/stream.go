@@ -25,7 +25,7 @@ func wantsSSE(r *http.Request) bool {
 // returns) or "error" event. A cache hit skips straight to "result".
 // SSE necessarily commits the 200 status before the run finishes, so
 // failures travel as "error" events rather than status codes.
-func (s *Server) streamSimulate(w http.ResponseWriter, r *http.Request, e *entry, digest, cacheStatus string) {
+func (s *Server) streamSimulate(w http.ResponseWriter, r *http.Request, e *entry, cacheStatus string) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		// No streaming transport; degrade to the blocking contract.
@@ -42,14 +42,14 @@ func (s *Server) streamSimulate(w http.ResponseWriter, r *http.Request, e *entry
 			}
 			return
 		}
-		s.writeResult(w, r, e, digest, cacheStatus)
+		s.writeResult(w, r, e, cacheStatus)
 		return
 	}
 
 	h := w.Header()
 	h.Set("Content-Type", "text/event-stream")
 	h.Set("Cache-Control", "no-cache")
-	h.Set("X-Scenario-Digest", digest)
+	h.Set("X-Scenario-Digest", e.digest)
 	h.Set("X-Cache", cacheStatus)
 	w.WriteHeader(http.StatusOK)
 
@@ -63,7 +63,7 @@ func (s *Server) streamSimulate(w http.ResponseWriter, r *http.Request, e *entry
 	}
 
 	emit("queued", map[string]any{
-		"digest":      digest,
+		"digest":      e.digest,
 		"cache":       cacheStatus,
 		"queue_depth": s.pool.QueueDepth(),
 	})
@@ -88,7 +88,7 @@ func (s *Server) streamSimulate(w http.ResponseWriter, r *http.Request, e *entry
 			if e.err != nil {
 				emit("error", map[string]string{"error": e.err.Error()})
 			} else {
-				emit("result", resultEnvelope(digest, e.res))
+				emit("result", resultEnvelope(e))
 			}
 			return
 		case <-r.Context().Done():

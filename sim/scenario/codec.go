@@ -3,6 +3,7 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -10,13 +11,21 @@ import (
 
 // Decode reads one scenario from JSON. Unknown fields are rejected so
 // a typo in a spec file fails loudly instead of silently running a
-// different scenario. The decoded scenario is validated.
+// different scenario, and so is anything but whitespace after the
+// document: a second document or stray bytes would otherwise be
+// silently ignored. The decoded scenario is validated.
 func Decode(r io.Reader) (*Scenario, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	var sc Scenario
 	if err := dec.Decode(&sc); err != nil {
 		return nil, fmt.Errorf("scenario: decode: %w", err)
+	}
+	if tok, err := dec.Token(); !errors.Is(err, io.EOF) {
+		if err == nil {
+			err = fmt.Errorf("unexpected %v", tok)
+		}
+		return nil, fmt.Errorf("scenario: decode: trailing data after the document: %w", err)
 	}
 	if err := sc.Validate(); err != nil {
 		return nil, err

@@ -94,6 +94,30 @@ func TestDecodeRejectsUnknownFields(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsTrailingData pins one document per input: after the
+// value only whitespace may follow, so a second concatenated document
+// or stray bytes fail instead of being silently ignored.
+func TestDecodeRejectsTrailingData(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join("..", "..", "testdata", "scenarios", "figure5.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decode(bytes.NewReader(append(bytes.Clone(doc), " \n\t\r\n"...))); err != nil {
+		t.Errorf("trailing whitespace rejected: %v", err)
+	}
+	for name, tail := range map[string]string{
+		"garbage":         "garbage",
+		"closers":         "]]]",
+		"second document": string(doc),
+		"number":          " 1",
+	} {
+		_, err := Decode(bytes.NewReader(append(bytes.Clone(doc), tail...)))
+		if err == nil || !strings.Contains(err.Error(), "trailing data") {
+			t.Errorf("%s after the document: got %v, want a trailing-data error", name, err)
+		}
+	}
+}
+
 func TestValidate(t *testing.T) {
 	base := validScenario()
 	if err := base.Validate(); err != nil {
