@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/allowance"
 	"repro/internal/analysis"
 	"repro/internal/aperiodic"
 	"repro/internal/core"
@@ -377,6 +378,62 @@ func BenchmarkWCRTAnalysis(b *testing.B) {
 		if _, err := analysis.Feasible(s); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// admittedSets returns 32 fixed admitted generated sets of 5–10 tasks
+// with constrained deadlines, the inputs of the allowance benchmarks.
+func admittedSets(b *testing.B) []*taskset.Set {
+	gen := taskset.NewGenerator(5)
+	gen.DeadlineFactor = 0.8
+	var sets []*taskset.Set
+	for len(sets) < 32 {
+		s, err := gen.Generate(5+len(sets)%6, 0.6)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rep, err := analysis.Feasible(s); err == nil && rep.Feasible {
+			sets = append(sets, s)
+		}
+	}
+	return sets
+}
+
+// BenchmarkNewSupervisor measures building one run's supervisor per
+// treatment: admission control plus the allowance columns the
+// treatment reads (none, detect and stop read only the WCRTs).
+func BenchmarkNewSupervisor(b *testing.B) {
+	sets := admittedSets(b)
+	for _, name := range []string{"none", "detect", "stop", "equitable", "system"} {
+		tr, err := detect.ParseTreatment(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run("treatment="+name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := detect.NewSupervisor(sets[i%len(sets)], detect.Config{Treatment: tr}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkAllowanceCompute measures the full allowance table (every
+// column) at the paper's 1 ms granularity and at 1 µs.
+func BenchmarkAllowanceCompute(b *testing.B) {
+	sets := admittedSets(b)
+	for _, c := range []struct {
+		name string
+		gran vtime.Duration
+	}{{"1ms", vtime.Millisecond}, {"1us", vtime.Microsecond}} {
+		b.Run("gran="+c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := allowance.Compute(sets[i%len(sets)], c.gran); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

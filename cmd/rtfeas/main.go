@@ -69,10 +69,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(err)
 	}
-	fmt.Fprintf(stdout, "\nequitable allowance A = %v per task\n", tab.Equitable)
+	fmt.Fprintf(stdout, "\nequitable allowance A = %v per task\n", tab.Equitable())
 	fmt.Fprintf(stdout, "%-8s %14s %18s %12s\n", "task", "WCRT", "WCRT+allowances", "maxOverrun")
 	for i, t := range set.Tasks {
-		fmt.Fprintf(stdout, "%-8s %14v %18v %12v\n", t.Name, tab.WCRT[i], tab.EquitableWCRT[i], tab.MaxOverrun[i])
+		fmt.Fprintf(stdout, "%-8s %14v %18v %12v\n", t.Name, tab.WCRT[i], tab.EquitableWCRT()[i], tab.MaxOverrun()[i])
 	}
 	return 0
 }

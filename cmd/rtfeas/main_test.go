@@ -47,3 +47,28 @@ func TestUnreadableFile(t *testing.T) {
 		t.Fatalf("unreadable file exited %d, want 1", code)
 	}
 }
+
+// longDeadlineGolden is the rtfeas output for a feasible system whose
+// b may overrun by far more than 2^50 ns: until U reaches exactly 1.
+const longDeadlineGolden = `U = 0.1000
+task        P          T          D          C         WCRT ok
+a           2       20ms       20ms        2ms          2ms yes
+b           1 3000000000ms 3000000000ms        1ms          3ms yes
+verdict: feasible
+
+equitable allowance A = 17ms per task
+task               WCRT    WCRT+allowances   maxOverrun
+a                   2ms               19ms         17ms
+b                   3ms              360ms 2699999999ms
+`
+
+func TestLongDeadlineGolden(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	tasks := filepath.Join("..", "..", "testdata", "long-deadline.tasks")
+	if code := run([]string{"-tasks", tasks}, &stdout, &stderr); code != 0 {
+		t.Fatalf("rtfeas exited %d: %s", code, stderr.String())
+	}
+	if stdout.String() != longDeadlineGolden {
+		t.Errorf("output differs from golden:\n--- got ---\n%s--- want ---\n%s", stdout.String(), longDeadlineGolden)
+	}
+}

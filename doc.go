@@ -56,6 +56,27 @@
 // -scenario runs a spec file end to end, and cmd/rtexp -list
 // enumerates the experiment registry.
 //
+// # Allowance on demand
+//
+// An admitted run runs admission control (analysis.Feasible) once:
+// core.NewSystem hands its report to the supervisor
+// (detect.NewSupervisorFromReport). The allowance table is lazy per
+// column, and the supervisor reads only what its treatment uses: none,
+// detect and stop arm their detectors on the WCRTs alone, equitable
+// reads the equitable allowance and its shifted WCRTs (Table 3), and
+// system the per-task maximum overruns. core.Result.Allowance,
+// core.System.Allowance and sim.RunResult.Allowance compute any other
+// column on first read; allowance.Compute, which cmd/rtfeas and the
+// experiments use, returns every column computed.
+//
+// The columns that are read are cheaper. analysis.Analyzer sorts a
+// set's priority order once, and an allowance probe edits its scratch
+// cost vector instead of cloning the set. Each search bisects up to
+// the first granularity multiple past D − C, where the overrunning
+// task misses its deadline by definition.
+// TestTableMatchesReference pins every column to the former
+// full-clone doubling search on over 1 000 sets at 1 ms and 1 µs.
+//
 // # Parallel experiment execution
 //
 // Every simulation sweep (X1, X2, X3, X5 and the X4 baseline

@@ -69,7 +69,7 @@ func main() {
 	fmt.Println("\nTwo-task example:")
 	for i, t := range tight.Tasks {
 		fmt.Printf("  %-3s WCRT=%v  WCRT+A=%v  maxOverrun=%v\n",
-			t.Name, tab.WCRT[i], tab.EquitableWCRT[i], tab.MaxOverrun[i])
+			t.Name, tab.WCRT[i], tab.EquitableWCRT()[i], tab.MaxOverrun()[i])
 	}
-	fmt.Printf("  equitable allowance: %v\n", tab.Equitable)
+	fmt.Printf("  equitable allowance: %v\n", tab.Equitable())
 }

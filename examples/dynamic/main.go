@@ -38,7 +38,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("t=0: start with %d task(s); equitable allowance %v\n",
-		base.Len(), sys.Allowance().Equitable)
+		base.Len(), sys.Allowance().Equitable())
 
 	res, err := sys.RunWith(func(e *engine.Engine, sup *detect.Supervisor) {
 		e.Schedule(vtime.AtMillis(400), func(now vtime.Time) {
@@ -48,7 +48,7 @@ func main() {
 				fmt.Printf("t=%v: ADMIT %s rejected: %v\n", now, t.Name, err)
 				return
 			}
-			fmt.Printf("t=%v: admitted %s; allowance now %v\n", now, t.Name, sup.Table().Equitable)
+			fmt.Printf("t=%v: admitted %s; allowance now %v\n", now, t.Name, sup.Table().Equitable())
 		})
 		e.Schedule(vtime.AtMillis(600), func(now vtime.Time) {
 			// Inadmissible addition: would need 80 ms every 100 ms on
@@ -65,7 +65,7 @@ func main() {
 				fmt.Printf("t=%v: remove failed: %v\n", now, err)
 				return
 			}
-			fmt.Printf("t=%v: removed bursty; allowance back to %v\n", now, sup.Table().Equitable)
+			fmt.Printf("t=%v: removed bursty; allowance back to %v\n", now, sup.Table().Equitable())
 		})
 	})
 	if err != nil {

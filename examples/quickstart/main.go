@@ -46,7 +46,7 @@ func main() {
 	fmt.Println("Admission control (exact response-time analysis):")
 	fmt.Print(sys.Admission().Render(tasks))
 	fmt.Printf("\nEquitable allowance: %v per task; max single-task overrun: %v\n\n",
-		sys.Allowance().Equitable, sys.Allowance().MaxOverrun[0])
+		sys.Allowance().Equitable(), sys.Allowance().MaxOverrun()[0])
 
 	res, err := sys.Run()
 	if err != nil {

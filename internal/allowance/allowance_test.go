@@ -60,12 +60,12 @@ func TestComputeTable3(t *testing.T) {
 		if tab.WCRT[i] != wantBase[i] {
 			t.Errorf("WCRT[%d] = %v, want %v", i, tab.WCRT[i], wantBase[i])
 		}
-		if tab.EquitableWCRT[i] != wantShift[i] {
-			t.Errorf("EquitableWCRT[%d] = %v, want %v", i, tab.EquitableWCRT[i], wantShift[i])
+		if tab.EquitableWCRT()[i] != wantShift[i] {
+			t.Errorf("EquitableWCRT[%d] = %v, want %v", i, tab.EquitableWCRT()[i], wantShift[i])
 		}
 	}
-	if tab.Equitable != ms(11) {
-		t.Errorf("Equitable = %v, want 11ms", tab.Equitable)
+	if tab.Equitable() != ms(11) {
+		t.Errorf("Equitable = %v, want 11ms", tab.Equitable())
 	}
 }
 
@@ -178,10 +178,19 @@ func TestAllowanceMonotoneUnderSlack(t *testing.T) {
 	}
 }
 
-func TestSearchRejectsUnbounded(t *testing.T) {
-	// ok() that never fails must be reported as unbounded, not loop.
-	_, err := search(ms(1), func(vtime.Duration) (bool, error) { return true, nil })
-	if err == nil {
-		t.Fatal("expected unbounded-allowance error")
+func TestSearchStopsAtLimit(t *testing.T) {
+	// A predicate that never fails is bounded by the limit: the search
+	// returns the largest multiple of the granularity within it and
+	// never probes past it.
+	for _, limit := range []vtime.Duration{0, vtime.Micros(10500), ms(10), ms(3_000_000_000)} {
+		got := search(ms(1), limit, func(d vtime.Duration) bool {
+			if d > limit {
+				t.Fatalf("limit %v: probed %v", limit, d)
+			}
+			return true
+		})
+		if want := limit.Floor(ms(1)); got != want {
+			t.Errorf("limit %v: search = %v, want %v", limit, got, want)
+		}
 	}
 }

@@ -16,7 +16,7 @@ import (
 // extra cost at the blocked task's level, so the allowance shrinks
 // monotonically with every b_i.
 func EquitableWithBlocking(s *taskset.Set, blocking []vtime.Duration, granularity vtime.Duration) (vtime.Duration, error) {
-	return search(granularity, func(delta vtime.Duration) (bool, error) {
+	return checkedSearch(granularity, minSlack(s), func(delta vtime.Duration) bool {
 		return feasibleBlocked(s.WithCostDelta(delta), blocking)
 	})
 }
@@ -27,26 +27,41 @@ func EquitableWithBlocking(s *taskset.Set, blocking []vtime.Duration, granularit
 // much lock contention the §4.2 treatment leaves room for.
 func MaxBlockingTolerance(s *taskset.Set, allowanceGrant vtime.Duration, granularity vtime.Duration) (vtime.Duration, error) {
 	inflated := s.WithCostDelta(allowanceGrant)
-	return search(granularity, func(b vtime.Duration) (bool, error) {
-		blocking := make([]vtime.Duration, s.Len())
-		for i := range blocking {
-			blocking[i] = b
-		}
-		return feasibleBlocked(inflated, blocking)
+	// A blocking term past Di − Ci puts task i's first job past its
+	// deadline.
+	return checkedSearch(granularity, minSlack(inflated), func(b vtime.Duration) bool {
+		return feasibleBlocked(inflated, uniform(s.Len(), b))
 	})
 }
 
-func feasibleBlocked(s *taskset.Set, blocking []vtime.Duration) (bool, error) {
+// checkedSearch is search after checking that ok holds at 0: a system
+// infeasible before any overrun has nothing to grant.
+func checkedSearch(granularity, limit vtime.Duration, ok func(vtime.Duration) bool) (vtime.Duration, error) {
+	if !ok(0) {
+		return 0, errNoGrant
+	}
+	return search(granularity, limit, ok), nil
+}
+
+// uniform returns n copies of b.
+func uniform(n int, b vtime.Duration) []vtime.Duration {
+	out := make([]vtime.Duration, n)
+	for i := range out {
+		out[i] = b
+	}
+	return out
+}
+
+func feasibleBlocked(s *taskset.Set, blocking []vtime.Duration) bool {
 	for _, t := range s.Tasks {
 		if t.Cost > t.Deadline {
-			return false, nil
+			return false
 		}
 	}
+	// An error means a response is unbounded at some level:
+	// infeasible.
 	ok, err := analysis.FeasibleWithBlocking(s, blocking)
-	if err != nil {
-		return false, nil // unbounded at some level: infeasible
-	}
-	return ok, nil
+	return err == nil && ok
 }
 
 // BlockingTable reports, for a range of uniform blocking terms, the
@@ -65,29 +80,15 @@ func SweepBlocking(s *taskset.Set, max, step vtime.Duration, granularity vtime.D
 	}
 	var tab BlockingTable
 	for b := vtime.Duration(0); b <= max; b += step {
-		blocking := make([]vtime.Duration, s.Len())
-		for i := range blocking {
-			blocking[i] = b
-		}
-		a, err := searchWithBase(granularity, func(delta vtime.Duration) (bool, error) {
+		blocking := uniform(s.Len(), b)
+		a, err := checkedSearch(granularity, minSlack(s), func(delta vtime.Duration) bool {
 			return feasibleBlocked(s.WithCostDelta(delta), blocking)
 		})
+		if err != nil {
+			a = -1
+		}
 		tab.Blocking = append(tab.Blocking, b)
 		tab.Allowance = append(tab.Allowance, a)
-		_ = err
 	}
 	return &tab, nil
-}
-
-// searchWithBase is search, but an infeasible base yields -1 instead
-// of an error (for sweeps that intentionally cross the boundary).
-func searchWithBase(granularity vtime.Duration, ok func(vtime.Duration) (bool, error)) (vtime.Duration, error) {
-	a, err := search(granularity, ok)
-	if err != nil {
-		if feas, ferr := ok(0); ferr == nil && !feas {
-			return -1, nil
-		}
-		return 0, err
-	}
-	return a, nil
 }

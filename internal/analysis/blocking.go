@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/taskset"
@@ -24,13 +25,14 @@ func ResponseTimesWithBlocking(s *taskset.Set, blocking []vtime.Duration) ([]vti
 	if blocking != nil && len(blocking) != s.Len() {
 		return nil, fmt.Errorf("analysis: blocking has %d entries for %d tasks", len(blocking), s.Len())
 	}
+	a := NewAnalyzer(s)
 	out := make([]vtime.Duration, s.Len())
 	for i := range s.Tasks {
 		var b vtime.Duration
 		if blocking != nil {
 			b = blocking[i]
 		}
-		r, err := WCResponseTime(s, i, b)
+		r, err := a.response(i, b, nil)
 		if err != nil {
 			return nil, fmt.Errorf("analysis: task %s: %w", s.Tasks[i].Name, err)
 		}
@@ -47,7 +49,7 @@ func FeasibleWithBlocking(s *taskset.Set, blocking []vtime.Duration) (bool, erro
 	}
 	wcrt, err := ResponseTimesWithBlocking(s, blocking)
 	if err != nil {
-		if isUnbounded(err) {
+		if errors.Is(err, ErrUnbounded) {
 			return false, nil
 		}
 		return false, err

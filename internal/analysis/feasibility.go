@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -41,7 +42,7 @@ func Feasible(s *taskset.Set) (*Report, error) {
 	}
 	wcrt, err := ResponseTimes(s)
 	if err != nil {
-		if isUnbounded(err) {
+		if errors.Is(err, ErrUnbounded) {
 			rep.Unbounded = true
 			return rep, nil
 		}
@@ -56,10 +57,6 @@ func Feasible(s *taskset.Set) (*Report, error) {
 		}
 	}
 	return rep, nil
-}
-
-func isUnbounded(err error) bool {
-	return err != nil && strings.Contains(err.Error(), ErrUnbounded.Error())
 }
 
 // String renders the report as a table in the paper's layout

@@ -38,69 +38,7 @@ func WCResponseTime(s *taskset.Set, i int, blocking vtime.Duration) (vtime.Durat
 	if i < 0 || i >= s.Len() {
 		return 0, fmt.Errorf("analysis: task index %d out of range", i)
 	}
-	// Divergence guard: the busy period closes iff the utilization of
-	// the task plus all higher-priority tasks is < 1, or equals 1 with
-	// a completion landing exactly on a period boundary. We allow
-	// load == 1 (the paper's Table 1 system has U exactly 1) and rely
-	// on the per-job test, but bail out if load > 1.
-	hp := s.HigherOrEqualPriority(i)
-	load := s.Tasks[i].Utilization()
-	for _, j := range hp {
-		load += s.Tasks[j].Utilization()
-	}
-	if load > 1 {
-		return 0, ErrUnbounded
-	}
-
-	self := s.Tasks[i]
-	var rmax vtime.Duration
-	for q := int64(0); ; q++ {
-		if q >= maxIterations {
-			return 0, ErrUnbounded
-		}
-		rq, err := jobCompletion(s, i, hp, q, blocking)
-		if err != nil {
-			return 0, err
-		}
-		resp := rq - vtime.Duration(q)*self.Period
-		if resp > rmax {
-			rmax = resp
-		}
-		if rq <= vtime.Duration(q+1)*self.Period {
-			break
-		}
-	}
-	return rmax, nil
-}
-
-// jobCompletion solves the fixed point for the completion time of the
-// q-th job (0-based) of task i within the level-i busy period.
-func jobCompletion(s *taskset.Set, i int, hp []int, q int64, blocking vtime.Duration) (vtime.Duration, error) {
-	self := s.Tasks[i]
-	work := vtime.Duration(q+1)*self.Cost + blocking
-	r := work
-	for iter := 0; ; iter++ {
-		if iter >= maxIterations {
-			return 0, ErrUnbounded
-		}
-		next := work
-		for _, j := range hp {
-			tj := s.Tasks[j]
-			next += ceilDiv(r, tj.Period) * tj.Cost
-		}
-		if next == r {
-			return r, nil
-		}
-		r = next
-	}
-}
-
-// ceilDiv returns ⌈a/b⌉ for positive b, as a Duration count.
-func ceilDiv(a, b vtime.Duration) vtime.Duration {
-	if a <= 0 {
-		return 0
-	}
-	return vtime.Duration((int64(a) + int64(b) - 1) / int64(b))
+	return NewAnalyzer(s).response(i, blocking, nil)
 }
 
 // JobResponse is the response time of one job within the level-i busy
@@ -124,46 +62,26 @@ type JobResponse struct {
 // response times may exceed the period, the worst case is not
 // necessarily the first job.
 func JobResponseTimes(s *taskset.Set, i int, blocking vtime.Duration) ([]JobResponse, error) {
-	hp := s.HigherOrEqualPriority(i)
-	load := s.Tasks[i].Utilization()
-	for _, j := range hp {
-		load += s.Tasks[j].Utilization()
+	if i < 0 || i >= s.Len() {
+		return nil, fmt.Errorf("analysis: task index %d out of range", i)
 	}
-	if load > 1 {
-		return nil, ErrUnbounded
-	}
-	self := s.Tasks[i]
 	var out []JobResponse
-	for q := int64(0); ; q++ {
-		if q >= maxIterations {
-			return nil, ErrUnbounded
-		}
-		rq, err := jobCompletion(s, i, hp, q, blocking)
-		if err != nil {
-			return nil, err
-		}
-		rel := vtime.Duration(q) * self.Period
+	_, err := NewAnalyzer(s).response(i, blocking, func(q int64, rq vtime.Duration) {
+		rel := vtime.Duration(q) * s.Tasks[i].Period
 		out = append(out, JobResponse{Q: q, Release: rel, Completion: rq, Response: rq - rel})
-		if rq <= vtime.Duration(q+1)*self.Period {
-			break
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
 // ResponseTimes computes the WCRT of every task in the set, in the
-// set's declared order. Any task whose response time diverges yields
-// an error naming it.
+// set's declared order, sorting the priority order once for the whole
+// set. Any task whose response time diverges yields an error naming
+// it.
 func ResponseTimes(s *taskset.Set) ([]vtime.Duration, error) {
-	out := make([]vtime.Duration, s.Len())
-	for i := range s.Tasks {
-		r, err := WCResponseTime(s, i, 0)
-		if err != nil {
-			return nil, fmt.Errorf("analysis: task %s: %w", s.Tasks[i].Name, err)
-		}
-		out[i] = r
-	}
-	return out, nil
+	return NewAnalyzer(s).ResponseTimes()
 }
 
 // Utilization returns the system load U = Σ Ci/Ti (paper Eq. 1).
@@ -242,13 +160,8 @@ func WCRTConstrained(s *taskset.Set, i int, blocking vtime.Duration) (vtime.Dura
 	if t.Deadline > t.Period {
 		return 0, fmt.Errorf("analysis: task %s has D > T; use WCResponseTime", t.Name)
 	}
-	hp := s.HigherOrEqualPriority(i)
-	r, err := jobCompletion(s, i, hp, 0, blocking)
-	if err != nil {
-		return 0, err
-	}
 	// With D ≤ T a response beyond the period is already a deadline
 	// miss; report the fixed point regardless so the caller compares
 	// against D (matching the general algorithm's q = 0 value).
-	return r, nil
+	return NewAnalyzer(s).completion(i, t.Cost+blocking)
 }

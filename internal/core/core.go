@@ -100,8 +100,10 @@ type Result struct {
 	Report *metrics.Report
 	// Admission is the pre-run feasibility report.
 	Admission *analysis.Report
-	// Allowance is the tolerance analysis (nil with NoDetection and
-	// an infeasible-for-allowance system).
+	// Allowance is the tolerance analysis of an admitted run, under
+	// every treatment (nil when admission control was skipped). The
+	// run computed only the columns its treatment reads; the table
+	// computes the others on first read.
 	Allowance *allowance.Table
 	// Detections counts detector-flagged faults.
 	Detections int64
@@ -155,7 +157,7 @@ func NewSystem(cfg Config) (*System, error) {
 	if !adm.Feasible {
 		return nil, fmt.Errorf("core: admission control rejects the system (misses: %v)", adm.Misses)
 	}
-	sup, err := detect.NewSupervisor(cfg.Tasks, detect.Config{
+	sup, err := detect.NewSupervisorFromReport(cfg.Tasks, adm, detect.Config{
 		Treatment:       cfg.Treatment,
 		TimerResolution: cfg.TimerResolution,
 	})
@@ -189,7 +191,8 @@ func fastForwardable(cfg Config) error {
 func (s *System) Admission() *analysis.Report { return s.adm }
 
 // Allowance returns the tolerance table backing the treatments (nil
-// when admission control was skipped).
+// when admission control was skipped). Columns the treatment did not
+// read are computed on first read.
 func (s *System) Allowance() *allowance.Table {
 	if s.sup == nil {
 		return nil

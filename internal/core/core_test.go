@@ -52,8 +52,8 @@ func TestRunProducesFullResult(t *testing.T) {
 	if sys.Admission() == nil || !sys.Admission().Feasible {
 		t.Fatal("admission report missing")
 	}
-	if sys.Allowance().Equitable != ms(11) {
-		t.Fatalf("allowance = %v, want 11ms", sys.Allowance().Equitable)
+	if sys.Allowance().Equitable() != ms(11) {
+		t.Fatalf("allowance = %v, want 11ms", sys.Allowance().Equitable())
 	}
 	res, err := sys.Run()
 	if err != nil {
@@ -191,5 +191,31 @@ func TestRunFromRetainFails(t *testing.T) {
 	}
 	if _, err := retained.RunFrom(cp); err == nil {
 		t.Fatal("RunFrom on a Retain config succeeded")
+	}
+}
+
+// TestAdmittedRunLeavesUnreadColumnsLazy pins that an admitted run
+// under treatment none carries an allowance table, computes none of
+// its allowance columns, and computes them on first read.
+func TestAdmittedRunLeavesUnreadColumnsLazy(t *testing.T) {
+	sys, err := NewSystem(Config{Tasks: figureSet(), Horizon: ms(1500)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sys.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Allowance == nil || res.Allowance != sys.Allowance() {
+		t.Fatal("an admitted none run must carry its allowance table")
+	}
+	if eq, maxo := res.Allowance.Computed(); eq || maxo {
+		t.Fatalf("treatment none computed (equitable %v, maxOverrun %v)", eq, maxo)
+	}
+	if got := res.Allowance.MaxOverrun()[0]; got != ms(33) {
+		t.Errorf("maxOverrun(tau1) read after the run = %v, want 33ms", got)
+	}
+	if eq, maxo := res.Allowance.Computed(); eq || !maxo {
+		t.Errorf("after reading MaxOverrun: computed (equitable %v, maxOverrun %v)", eq, maxo)
 	}
 }

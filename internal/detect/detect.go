@@ -106,7 +106,8 @@ type taskPlan struct {
 	// detectOffset is the (quantized) offset of the detector within
 	// each period.
 	detectOffset vtime.Duration
-	// maxOverrun is the §4.3 single-task bound.
+	// maxOverrun is the §4.3 single-task bound (set under the
+	// SystemAllowance treatment only).
 	maxOverrun vtime.Duration
 
 	// faultyQ is the job index flagged by the detector's most recent
@@ -136,42 +137,33 @@ type Supervisor struct {
 }
 
 // NewSupervisor runs admission control on the set and derives every
-// detector offset and allowance. It fails if the system is not
-// theoretically feasible — the paper's premise is a system accepted by
-// admission control that faults at runtime anyway.
+// detector offset and allowance its treatment reads. It fails if the
+// system is not theoretically feasible — the paper's premise is a
+// system accepted by admission control that faults at runtime anyway.
 func NewSupervisor(s *taskset.Set, cfg Config) (*Supervisor, error) {
 	rep, err := analysis.Feasible(s)
 	if err != nil {
 		return nil, err
 	}
+	return NewSupervisorFromReport(s, rep, cfg)
+}
+
+// NewSupervisorFromReport is NewSupervisor for a set whose admission
+// report (analysis.Feasible) is already at hand. Only the treatment's
+// allowance columns are computed: none, detect and stop read the
+// WCRTs alone, equitable the equitable columns and system the maximum
+// overruns. Table computes the rest on first read.
+func NewSupervisorFromReport(s *taskset.Set, rep *analysis.Report, cfg Config) (*Supervisor, error) {
 	if !rep.Feasible {
 		return nil, fmt.Errorf("detect: admission control rejects the system (misses: %v)", rep.Misses)
 	}
-	tab, err := allowance.Compute(s, cfg.Granularity)
-	if err != nil {
-		return nil, err
-	}
 	sup := &Supervisor{
 		cfg:   cfg,
-		table: tab,
+		table: allowance.NewTable(s, rep.WCRT, cfg.Granularity),
 		plans: make(map[string]*taskPlan, s.Len()),
 		set:   s.Clone(),
 	}
-	for i, t := range s.Tasks {
-		off := tab.WCRT[i]
-		if cfg.Treatment == Equitable {
-			// §4.2: tasks are stopped after the new worst case
-			// response times which take the allowance into account.
-			off = tab.EquitableWCRT[i]
-		}
-		sup.plans[t.Name] = &taskPlan{
-			task:         t,
-			wcrt:         tab.WCRT[i],
-			detectOffset: off.Ceil(cfg.TimerResolution),
-			maxOverrun:   tab.MaxOverrun[i],
-			faultyQ:      -1,
-		}
-	}
+	sup.rebuildPlans()
 	return sup, nil
 }
 
@@ -351,7 +343,8 @@ func (s *Supervisor) ObservedCost(task string) (vtime.Duration, int64) {
 // cost replaced by the observed maximum (for tasks with at least
 // minJobs completions; others keep their declaration) — the §7
 // "reassign resources" step. The reclaimed allowances are at least
-// the nominal ones, strictly larger when some task under-runs.
+// the nominal ones, strictly larger when some task under-runs. Like
+// every table, it computes each allowance column on first read.
 func (s *Supervisor) ReclaimTable(minJobs int64) (*allowance.Table, error) {
 	observed := s.set.Clone()
 	for i := range observed.Tasks {
@@ -361,7 +354,18 @@ func (s *Supervisor) ReclaimTable(minJobs int64) (*allowance.Table, error) {
 			observed.Tasks[i].Cost = p.maxExecuted
 		}
 	}
-	return allowance.Compute(observed, s.cfg.Granularity)
+	return s.tableOf(observed)
+}
+
+// tableOf builds the lazy allowance table of a set known feasible:
+// the admitted set with a task removed or with costs lowered to
+// their observed maxima.
+func (s *Supervisor) tableOf(set *taskset.Set) (*allowance.Table, error) {
+	wcrt, err := analysis.ResponseTimes(set)
+	if err != nil {
+		return nil, err
+	}
+	return allowance.NewTable(set, wcrt, s.cfg.Granularity), nil
 }
 
 // AdmitTask implements dynamic admission (paper §7): it re-runs
@@ -382,20 +386,16 @@ func (s *Supervisor) AdmitTask(e *engine.Engine, t taskset.Task) error {
 	if !rep.Feasible {
 		return fmt.Errorf("detect: admission control rejects task %s (misses: %v)", t.Name, rep.Misses)
 	}
-	tab, err := allowance.Compute(cand, s.cfg.Granularity)
-	if err != nil {
-		return err
-	}
 	now := e.Now()
 	if err := e.AddTask(t, nil, now); err != nil {
 		return err
 	}
+	s.table = allowance.NewTable(cand, rep.WCRT, s.cfg.Granularity)
 	// The engine interprets the offset relative to now; record the
 	// absolute first release so detector arming matches (offsets do
 	// not affect the critical-instant feasibility analysis above).
 	cand.Tasks[len(cand.Tasks)-1].Offset += vtime.Duration(now)
 	s.set = cand
-	s.table = tab
 	s.rebuildPlans()
 	if s.cfg.Treatment != NoDetection {
 		s.scheduleDetector(e, t.Name, 0)
@@ -413,7 +413,7 @@ func (s *Supervisor) RemoveTask(e *engine.Engine, name string) error {
 	e.RemoveTask(name, e.Now())
 	s.set.Tasks = append(s.set.Tasks[:idx], s.set.Tasks[idx+1:]...)
 	delete(s.plans, name)
-	tab, err := allowance.Compute(s.set, s.cfg.Granularity)
+	tab, err := s.tableOf(s.set)
 	if err != nil {
 		return err
 	}
@@ -423,13 +423,20 @@ func (s *Supervisor) RemoveTask(e *engine.Engine, name string) error {
 }
 
 // rebuildPlans refreshes detector offsets and allowances from the
-// current table, preserving unknown tasks untouched.
+// current table, preserving unknown tasks untouched. It reads only
+// the columns the treatment uses.
 func (s *Supervisor) rebuildPlans() {
+	offsets := s.table.WCRT
+	if s.cfg.Treatment == Equitable {
+		// §4.2: tasks are stopped after the new worst case response
+		// times which take the allowance into account.
+		offsets = s.table.EquitableWCRT()
+	}
+	var maxOverrun []vtime.Duration
+	if s.cfg.Treatment == SystemAllowance {
+		maxOverrun = s.table.MaxOverrun()
+	}
 	for i, t := range s.set.Tasks {
-		off := s.table.WCRT[i]
-		if s.cfg.Treatment == Equitable {
-			off = s.table.EquitableWCRT[i]
-		}
 		p, ok := s.plans[t.Name]
 		if !ok {
 			p = &taskPlan{faultyQ: -1}
@@ -437,7 +444,9 @@ func (s *Supervisor) rebuildPlans() {
 		}
 		p.task = t
 		p.wcrt = s.table.WCRT[i]
-		p.detectOffset = off.Ceil(s.cfg.TimerResolution)
-		p.maxOverrun = s.table.MaxOverrun[i]
+		p.detectOffset = offsets[i].Ceil(s.cfg.TimerResolution)
+		if maxOverrun != nil {
+			p.maxOverrun = maxOverrun[i]
+		}
 	}
 }

@@ -1,8 +1,10 @@
 package detect
 
 import (
+	"slices"
 	"testing"
 
+	"repro/internal/allowance"
 	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/taskset"
@@ -333,7 +335,7 @@ func TestRemoveTaskFreesAllowance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := sup.Table().Equitable
+	before := sup.Table().Equitable()
 	e, err := engine.New(engine.Config{Tasks: figureSet(), End: at(5000), Hooks: sup.Hooks()})
 	if err != nil {
 		t.Fatal(err)
@@ -348,7 +350,7 @@ func TestRemoveTaskFreesAllowance(t *testing.T) {
 		}
 	})
 	e.Run()
-	after := sup.Table().Equitable
+	after := sup.Table().Equitable()
 	if after < before {
 		t.Errorf("allowance shrank after removing a task: %v -> %v", before, after)
 	}
@@ -409,19 +411,19 @@ func TestCostUnderrunObservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tab.Equitable <= sup.Table().Equitable {
-		t.Fatalf("reclaimed allowance %v must exceed nominal %v", tab.Equitable, sup.Table().Equitable)
+	if tab.Equitable() <= sup.Table().Equitable() {
+		t.Fatalf("reclaimed allowance %v must exceed nominal %v", tab.Equitable(), sup.Table().Equitable())
 	}
-	if tab.Equitable != ms(17) {
-		t.Fatalf("reclaimed allowance = %v, want 17ms", tab.Equitable)
+	if tab.Equitable() != ms(17) {
+		t.Fatalf("reclaimed allowance = %v, want 17ms", tab.Equitable())
 	}
 	// Demanding more evidence than exists keeps the declaration.
 	tab, err = sup.ReclaimTable(1 << 30)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tab.Equitable != sup.Table().Equitable {
-		t.Fatalf("insufficient evidence must keep the nominal allowance, got %v", tab.Equitable)
+	if tab.Equitable() != sup.Table().Equitable() {
+		t.Fatalf("insufficient evidence must keep the nominal allowance, got %v", tab.Equitable())
 	}
 }
 
@@ -434,5 +436,114 @@ func TestObservedCostIgnoresStoppedJobs(t *testing.T) {
 	// ~30ms before the stop) is excluded.
 	if got != ms(29) {
 		t.Fatalf("observed tau1 cost = %v over %d completions, want 29ms", got, n)
+	}
+}
+
+// TestSupervisorComputesOnlyWhatItsTreatmentReads pins the lazy
+// allowance columns: none, detect and stop arm on the WCRTs alone and
+// compute neither the equitable columns nor MaxOverrun, equitable
+// computes only the former and system only the latter. Reading the
+// table afterwards yields allowance.Compute's values, and under every
+// treatment the detector offsets and grants equal those an eager table
+// gives.
+func TestSupervisorComputesOnlyWhatItsTreatmentReads(t *testing.T) {
+	sets := []*taskset.Set{figureSet()}
+	gen := taskset.NewGenerator(11)
+	gen.DeadlineFactor = 0.8
+	for len(sets) < 6 {
+		s, err := gen.Generate(3+len(sets), 0.6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := NewSupervisor(s, Config{}); err == nil {
+			sets = append(sets, s)
+		}
+	}
+	wantComputed := [][2]bool{
+		NoDetection:     {false, false},
+		DetectOnly:      {false, false},
+		Stop:            {false, false},
+		Equitable:       {true, false},
+		SystemAllowance: {false, true},
+	}
+	for k, s := range sets {
+		eager, err := allowance.Compute(s, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for tr, want := range wantComputed {
+			tr := Treatment(tr)
+			for _, res := range []vtime.Duration{0, DefaultTimerResolution} {
+				sup, err := NewSupervisor(s, Config{Treatment: tr, TimerResolution: res})
+				if err != nil {
+					t.Fatal(err)
+				}
+				tab := sup.Table()
+				if eq, maxo := tab.Computed(); eq != want[0] || maxo != want[1] {
+					t.Errorf("set %d %v: computed (equitable %v, maxOverrun %v), want %v", k, tr, eq, maxo, want)
+				}
+				for i, task := range s.Tasks {
+					off := eager.WCRT[i]
+					if tr == Equitable {
+						off = eager.EquitableWCRT()[i]
+					}
+					if got, _ := sup.DetectorOffset(task.Name); got != off.Ceil(res) {
+						t.Errorf("set %d %v res %v: %s offset %v, want %v", k, tr, res, task.Name, got, off.Ceil(res))
+					}
+					if p := sup.plans[task.Name]; tr == SystemAllowance && p.maxOverrun != eager.MaxOverrun()[i] {
+						t.Errorf("set %d: %s grant %v, want %v", k, task.Name, p.maxOverrun, eager.MaxOverrun()[i])
+					}
+				}
+				if !sameTable(tab, eager) {
+					t.Errorf("set %d %v: read-back table differs from allowance.Compute", k, tr)
+				}
+			}
+		}
+	}
+}
+
+func sameTable(a, b *allowance.Table) bool {
+	return slices.Equal(a.WCRT, b.WCRT) && a.Equitable() == b.Equitable() &&
+		slices.Equal(a.EquitableWCRT(), b.EquitableWCRT()) && slices.Equal(a.MaxOverrun(), b.MaxOverrun())
+}
+
+// TestReclaimAndRemoveBuildLazyTables pins that dynamic admission,
+// removal and reclamation compute no allowance column up front either.
+func TestReclaimAndRemoveBuildLazyTables(t *testing.T) {
+	sup, err := NewSupervisor(figureSet(), Config{Treatment: Stop})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := engine.New(engine.Config{Tasks: figureSet(), End: at(1500), Hooks: sup.Hooks()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sup.Attach(e)
+	e.Run()
+	lazy := func(what string, tab *allowance.Table) {
+		t.Helper()
+		if eq, maxo := tab.Computed(); eq || maxo {
+			t.Errorf("%s: computed (equitable %v, maxOverrun %v), want neither", what, eq, maxo)
+		}
+	}
+	reclaimed, err := sup.ReclaimTable(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lazy("ReclaimTable", reclaimed)
+	if err := sup.AdmitTask(e, taskset.Task{Name: "late", Priority: 10, Period: ms(2000), Deadline: ms(500), Cost: ms(5)}); err != nil {
+		t.Fatal(err)
+	}
+	lazy("AdmitTask", sup.Table())
+	if err := sup.RemoveTask(e, "tau2"); err != nil {
+		t.Fatal(err)
+	}
+	lazy("RemoveTask", sup.Table())
+	want, err := allowance.Compute(sup.set, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameTable(sup.Table(), want) {
+		t.Error("table after RemoveTask differs from allowance.Compute")
 	}
 }

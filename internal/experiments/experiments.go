@@ -163,7 +163,7 @@ func Table2() ([]Table2Row, error) {
 	}
 	out := make([]Table2Row, s.Len())
 	for i, t := range s.Tasks {
-		out[i] = Table2Row{Task: t, WCRT: tab.WCRT[i], Allowance: tab.Equitable, MaxOverrun: tab.MaxOverrun[i]}
+		out[i] = Table2Row{Task: t, WCRT: tab.WCRT[i], Allowance: tab.Equitable(), MaxOverrun: tab.MaxOverrun()[i]}
 	}
 	return out, nil
 }
@@ -203,8 +203,8 @@ func Table3() ([]Table3Row, error) {
 		out[i] = Table3Row{
 			Task:          t.Name,
 			WCRT:          tab.WCRT[i],
-			EquitableWCRT: tab.EquitableWCRT[i],
-			Shift:         tab.EquitableWCRT[i] - tab.WCRT[i],
+			EquitableWCRT: tab.EquitableWCRT()[i],
+			Shift:         tab.EquitableWCRT()[i] - tab.WCRT[i],
 		}
 	}
 	return out, nil

@@ -162,11 +162,7 @@ func (ext *RealtimeThreadExtended) Start() error {
 	detBase := ext.wcrt
 	switch ext.treatment {
 	case ExtEquitable:
-		tab, err := allowance.Compute(set, 0)
-		if err != nil {
-			return err
-		}
-		detBase = tab.EquitableWCRT[idx]
+		detBase = allowance.NewTable(set, rep.WCRT, 0).EquitableWCRT()[idx]
 		ext.stopOff = detBase
 	case ExtSystemAllowance:
 		maxo, err := allowance.MaxOverrun(set, idx, 0)

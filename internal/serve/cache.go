@@ -60,6 +60,16 @@ func newEntry(digest string) *entry {
 	return &entry{digest: digest, done: make(chan struct{})}
 }
 
+// isDone reports whether complete has run.
+func (e *entry) isDone() bool {
+	select {
+	case <-e.done:
+		return true
+	default:
+		return false
+	}
+}
+
 // complete publishes the terminal state and wakes every waiter. Must
 // be called exactly once.
 func (e *entry) complete(res *result, err error) {
@@ -69,12 +79,15 @@ func (e *entry) complete(res *result, err error) {
 
 // subscribe registers a progress listener, replaying the most recent
 // observation (if any) so late subscribers are not blind until the
-// next boundary. The returned cancel is idempotent and must be called
+// next boundary. The run's owner always gets the replay: its run may
+// have finished before it subscribed. Anyone else gets it only while
+// the run is in flight, so a hit on a completed entry goes straight
+// to its result. The returned cancel is idempotent and must be called
 // to release the slot.
-func (e *entry) subscribe() (<-chan Progress, func()) {
+func (e *entry) subscribe(owner bool) (<-chan Progress, func()) {
 	ch := make(chan Progress, 16)
 	e.mu.Lock()
-	if e.hasLast {
+	if e.hasLast && (owner || !e.isDone()) {
 		ch <- e.last // buffered, cannot block
 	}
 	e.subs = append(e.subs, ch)

@@ -178,11 +178,12 @@ func TestRawIndexDroppedOnRunError(t *testing.T) {
 }
 
 // TestEntryProgressPubSub pins the SSE plumbing: subscribers get
-// observations, late subscribers get the latest replayed, cancel
-// detaches, and a full subscriber drops rather than blocks.
+// observations, late subscribers get the latest replayed while the run
+// is in flight, cancel detaches, and a full subscriber drops rather
+// than blocks. Once the run completed, only its owner gets the replay.
 func TestEntryProgressPubSub(t *testing.T) {
 	e := newEntry("d")
-	ch, cancel := e.subscribe()
+	ch, cancel := e.subscribe(false)
 	e.publish(Progress{AtMS: 10, HorizonMS: 100, Percent: 10})
 	select {
 	case p := <-ch:
@@ -193,7 +194,7 @@ func TestEntryProgressPubSub(t *testing.T) {
 		t.Fatal("subscriber missed the observation")
 	}
 
-	late, lateCancel := e.subscribe()
+	late, lateCancel := e.subscribe(false)
 	defer lateCancel()
 	select {
 	case p := <-late:
@@ -215,5 +216,24 @@ func TestEntryProgressPubSub(t *testing.T) {
 	// Saturate the late subscriber's buffer: publish must not block.
 	for i := 0; i < 100; i++ {
 		e.publish(Progress{AtMS: int64(30 + i), HorizonMS: 100})
+	}
+
+	e.complete(&result{}, nil)
+	hit, hitCancel := e.subscribe(false)
+	defer hitCancel()
+	select {
+	case p := <-hit:
+		t.Errorf("a hit on a completed entry got %+v replayed", p)
+	default:
+	}
+	owner, ownerCancel := e.subscribe(true)
+	defer ownerCancel()
+	select {
+	case p := <-owner:
+		if p.AtMS != 129 {
+			t.Errorf("owner replay %+v, want the last observation", p)
+		}
+	default:
+		t.Fatal("the run's owner did not get its last observation replayed")
 	}
 }

@@ -466,6 +466,33 @@ func TestSSEProgress(t *testing.T) {
 	}
 }
 
+// TestSSECacheHitGoesStraightToResult pins streamSimulate's contract
+// for a hit on a completed entry: exactly a queued event, then the
+// result, with no progress replayed from the finished run.
+func TestSSECacheHitGoesStraightToResult(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	body := testScenarioJSON(t, "sse-hit", 4)
+
+	miss := post(t, s, "/v1/simulate?stream=sse", body)
+	hit := post(t, s, "/v1/simulate?stream=sse", body)
+	if cs := hit.Header().Get("X-Cache"); cs != "hit" {
+		t.Fatalf("second request X-Cache %q, want hit", cs)
+	}
+	var order []string
+	for _, line := range strings.Split(hit.Body.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, "event: "); ok {
+			order = append(order, v)
+		}
+	}
+	if strings.Join(order, ",") != "queued,result" {
+		t.Errorf("hit streamed events %v, want [queued result]", order)
+	}
+	if got, want := parseSSE(t, hit.Body.String())["result"], parseSSE(t, miss.Body.String())["result"]; len(got) != 1 || len(want) != 1 || got[0] != want[0] {
+		t.Errorf("hit result %v differs from miss result %v", got, want)
+	}
+}
+
 func parseSSE(t *testing.T, s string) map[string][]string {
 	t.Helper()
 	out := map[string][]string{}

@@ -22,7 +22,8 @@ func wantsSSE(r *http.Request) bool {
 // while the simulation advances its virtual clock (driven by the
 // run's trace stream via sim.System.ObserveProgress), then a terminal
 // "result" (the same deterministic envelope the blocking path
-// returns) or "error" event. A cache hit skips straight to "result".
+// returns) or "error" event. A hit on a completed entry skips straight
+// to "result"; a hit that joins a run in flight streams its progress.
 // SSE necessarily commits the 200 status before the run finishes, so
 // failures travel as "error" events rather than status codes.
 func (s *Server) streamSimulate(w http.ResponseWriter, r *http.Request, e *entry, cacheStatus string) {
@@ -68,7 +69,7 @@ func (s *Server) streamSimulate(w http.ResponseWriter, r *http.Request, e *entry
 		"queue_depth": s.pool.QueueDepth(),
 	})
 
-	ch, cancel := e.subscribe()
+	ch, cancel := e.subscribe(cacheStatus == "miss")
 	defer cancel()
 	for {
 		select {

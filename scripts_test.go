@@ -217,3 +217,86 @@ func TestBenchEngineJSONMandatoryFields(t *testing.T) {
 		t.Errorf("extractor error does not name the missing field:\n%s", out)
 	}
 }
+
+// runABStats runs scripts/ab_stats.go on the given runs with a
+// two-metric spec: ops_per_s (higher is better), p50_ms (lower) and
+// peak_rss_mb, which no run reports.
+func runABStats(t *testing.T, runs string) (string, error) {
+	t.Helper()
+	requireTools(t, "go")
+	spec := filepath.Join(t.TempDir(), "BENCHMARK.json")
+	if err := os.WriteFile(spec, []byte(`{"end_to_end": [
+		{"name": "ops_per_s", "better": "higher"},
+		{"name": "p50_ms", "better": "lower"},
+		{"name": "peak_rss_mb", "better": "lower"}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command("go", "run", filepath.Join("scripts", "ab_stats.go"), "-spec", spec)
+	cmd.Stdin = strings.NewReader(runs)
+	out, err := cmd.CombinedOutput()
+	return string(out), err
+}
+
+func abRun(side string, ops, p50 float64) string {
+	return fmt.Sprintf(`%s {"correct":true,"attempted":100,"failed":0,"metrics":{"ops_per_s":{"value":%g,"unit":"ops/s"},"p50_ms":{"value":%g,"unit":"ms"}}}`+"\n", side, ops, p50)
+}
+
+// TestABStatsSummarizesPairs feeds the A/B helper ten synthetic ABBA
+// pairs: HEAD is 1.2× BASE on ops_per_s in every pair, and p50_ms
+// moves ±1% either way. The report gives each side's median and
+// quartiles, HEAD's wins, and the median ratio with its interval: 1.2
+// on a degenerate [1.2, 1.2] interval (better), and an interval
+// containing 1 for p50_ms (no measurable change). The report is the
+// same on every run, and a single pair gets no verdict.
+func TestABStatsSummarizesPairs(t *testing.T) {
+	var runs strings.Builder
+	for k := 0; k < 10; k++ {
+		ops := 100 + float64(k)
+		p50 := 1 + 0.01*float64(k%2*2-1)
+		if k%2 == 0 {
+			runs.WriteString(abRun("base", ops, 1) + abRun("head", 1.2*ops, p50))
+		} else {
+			runs.WriteString(abRun("head", 1.2*ops, p50) + abRun("base", ops, 1))
+		}
+	}
+	out, err := runABStats(t, runs.String())
+	if err != nil {
+		t.Fatalf("ab_stats: %v\n%s", err, out)
+	}
+	for _, want := range []string{
+		"ops_per_s    104.5 (102.2-106.8)  ",
+		"125.4 (122.7-128.1)",
+		"10/10     1.200 [1.200, 1.200] better",
+		"p50_ms       1 (1-1)",
+		"5/10",
+		"no measurable change",
+		"peak_rss_mb  (not reported)",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("report lacks %q:\n%s", want, out)
+		}
+	}
+	again, err := runABStats(t, runs.String())
+	if err != nil || again != out {
+		t.Errorf("a second run printed a different report (err %v):\n%s", err, again)
+	}
+	few, err := runABStats(t, abRun("base", 100, 1)+abRun("head", 120, 1))
+	if err != nil || !strings.Contains(few, "too few pairs to judge") {
+		t.Errorf("one pair must get no verdict (err %v):\n%s", err, few)
+	}
+}
+
+// TestABStatsRejectsBadRuns: an incorrect run, a run with failed
+// operations, or unequal run counts fail the helper.
+func TestABStatsRejectsBadRuns(t *testing.T) {
+	cases := map[string]string{
+		"incorrect": abRun("base", 100, 1) + strings.Replace(abRun("head", 120, 1), `"correct":true`, `"correct":false`, 1),
+		"failed":    abRun("base", 100, 1) + strings.Replace(abRun("head", 120, 1), `"failed":0`, `"failed":3`, 1),
+		"unpaired":  abRun("base", 100, 1) + abRun("base", 100, 1) + abRun("head", 120, 1),
+	}
+	for _, name := range []string{"incorrect", "failed", "unpaired"} {
+		if out, err := runABStats(t, cases[name]); err == nil {
+			t.Errorf("%s: helper accepted the runs:\n%s", name, out)
+		}
+	}
+}

@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/taskset"
 	"repro/internal/vtime"
+	"repro/sim/scenario"
 )
 
 func scenarioPath(name string) string {
@@ -275,5 +277,34 @@ func TestParseTreatment(t *testing.T) {
 	}
 	if _, err := ParseTreatment("explode"); err == nil {
 		t.Error("unknown treatment must error")
+	}
+}
+
+// TestLongDeadlineScenarioRunsUnderEveryTreatment pins a feasible
+// system whose allowance is far larger than 2^50 ns: b's period and
+// deadline are 3 000 000 s, so b may overrun by 2 699 999 999 ms. It
+// is admitted and runs under every treatment.
+func TestLongDeadlineScenarioRunsUnderEveryTreatment(t *testing.T) {
+	tasks := []scenario.Task{
+		scenario.FromTask(taskset.Task{Name: "a", Priority: 2, Period: vtime.Millis(20), Deadline: vtime.Millis(20), Cost: vtime.Millis(2)}),
+		scenario.FromTask(taskset.Task{Name: "b", Priority: 1, Period: vtime.Millis(3_000_000_000), Deadline: vtime.Millis(3_000_000_000), Cost: vtime.Millis(1)}),
+	}
+	for _, tr := range []string{"none", "detect", "stop", "equitable", "system"} {
+		sys, err := FromScenario(Scenario{
+			Name:      "long-deadline",
+			Treatment: tr,
+			Horizon:   scenario.Duration(vtime.Millis(100)),
+			Tasks:     tasks,
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", tr, err)
+		}
+		res, err := sys.Run()
+		if err != nil {
+			t.Fatalf("%s: %v", tr, err)
+		}
+		if got, want := res.Allowance.MaxOverrun()[1], vtime.Millis(2_699_999_999); got != want {
+			t.Errorf("%s: maxOverrun(b) = %v, want %v", tr, got, want)
+		}
 	}
 }

@@ -116,7 +116,9 @@ type RunResult struct {
 	// Admission is the pre-run feasibility report (nil when the
 	// scenario skipped admission control).
 	Admission *analysis.Report
-	// Allowance is the tolerance analysis (nil without admission).
+	// Allowance is the tolerance analysis (nil without admission). The
+	// run computed only the columns its treatment reads; the table
+	// computes the others on first read.
 	Allowance *allowance.Table
 	// Detections counts detector-flagged faults.
 	Detections int64
