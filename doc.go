@@ -114,11 +114,15 @@
 // ratios, response min/mean/max and an ε-approximate quantile sketch
 // online, optionally teed with a trace.WriterSink that spills the
 // byte-identical text log to disk (System.SpillTrace, rtrun
-// -trace-out). Streaming reports equal retained reports exactly on
-// every summary field; percentiles carry a ±εn rank-error bound
-// (metrics.DefaultSketchEpsilon). Cross-mode equivalence, the sketch
-// bound, and the O(1) allocs-per-job steady state are pinned by
-// tests and by BenchmarkCollectRetain10m/BenchmarkCollectStream10m.
+// -trace-out). The accumulator keeps one record per task — summary,
+// sketch, fast-forward cycle bookkeeping and the task's live jobs in a
+// short q-ordered slice — so an event costs one task-name lookup and a
+// short scan, and a job allocates nothing. Streaming reports equal
+// retained reports exactly on every summary field; percentiles carry
+// a ±εn rank-error bound (metrics.DefaultSketchEpsilon). Cross-mode
+// equivalence, the sketch bound, and the allocation-free steady state
+// (TestAccumulatorSteadyStateAllocFree) are pinned by tests and by
+// BenchmarkCollectRetain10m/BenchmarkCollectStream10m.
 //
 // # Typed event loop
 //
@@ -129,10 +133,16 @@
 // supervisor stops, test hooks — carry a callback. Cancellation is
 // eager: the event heap tracks the position of every cancellable
 // entry, a job's deadline check is removed the instant the job
-// finishes, and the single completion prediction is rekeyed in place
-// at each dispatch, so the heap stays proportional to the live work
-// (pending jobs + one release per task + external timers) rather than
-// accumulating stale entries behind epoch guards. Dispatch pops the
+// finishes, and each core's completion prediction is updated in
+// place, so the heap stays proportional to the live work (pending
+// jobs + one release per task + one completion per core + external
+// timers) rather than accumulating stale entries behind epoch guards.
+// A completion is rekeyed only when its instant moves — a dispatch, a
+// stop request, a context-switch charge — because the heap orders it
+// by rule rather than by insertion: at equal instant and class, a
+// completion runs after every other event, and completions run in
+// core order. Every loop step ends by re-predicting the completions,
+// so that rule is exactly the order a fresh push per step once gave. Dispatch pops the
 // next job from an incrementally maintained policy-ordered ready
 // queue — O(log tasks) per update — replacing the historical
 // O(tasks) scan, which makes hundreds-of-tasks systems a first-class
@@ -149,7 +159,12 @@
 // policy-ordered ready queue, running the M policy-best ready jobs
 // at every scheduling instant; a preempted job may resume on another
 // core, recorded as a trace "migrate" event with the core id carried
-// on begin/resume/preempt. Partitioned dispatch (sim.WithPlacement
+// on begin/resume/preempt. The running set is kept incrementally, as
+// in LITMUS^RT's global schedulers: the ready queue holds only the
+// waiting heads, a free core takes the ready top, and the ready top
+// displaces the policy-worst running job only while it beats it, so
+// an event usually costs zero or one comparison and a completion
+// refills only its own core. Partitioned dispatch (sim.WithPlacement
 // "partitioned") instead pins every task to one core before the run
 // via utilization-decreasing bin packing — sched.FirstFitDecreasing
 // by default, sched.BestFitDecreasing with "partitioner":
@@ -164,7 +179,8 @@
 // legality, work conservation), and the x13 registry entry (rtexp
 // -exp x13, run by make ci) sweeps seeded task sets under both
 // disciplines, requiring global dispatch to succeed at least as
-// often as any feasible partition of the same set.
+// often as any feasible partition of the same set, and some global
+// run to migrate.
 //
 // # Verification
 //
@@ -176,7 +192,9 @@
 // law — strictly periodic, or record-for-record against a fresh
 // replay of its arrival source — resolved by their deadlines,
 // policy-consistent dispatch order (fixed-priority exact, the EDF
-// family via recomputed keys), detector fires at the paper's
+// family via recomputed keys), no newly waiting job outranking a
+// running one at a settled instant (a missed preemption), detector
+// fires at the paper's
 // latest-detection bound, per-task conservation, and server budgets.
 // Arm it with core.Config.Oracle, sim.WithVerify, the scenario
 // "verify": true, or rtrun -check; a violation fails the run with a

@@ -107,6 +107,16 @@ type SlotCheckpoint struct {
 	Q    int64 `json:"q,omitempty"`
 }
 
+// isRunning reports whether job j holds a core.
+func (e *Engine) isRunning(j *Job) bool {
+	for _, r := range e.running {
+		if r == j {
+			return true
+		}
+	}
+	return false
+}
+
 // liveTimers counts in-flight external timers (scheduled callbacks
 // whose closure has not yet popped).
 func (e *Engine) liveTimers() int { return len(e.fns) - len(e.freeFns) }
@@ -326,19 +336,6 @@ func (e *Engine) Restore(cp *Checkpoint) error {
 		e.placed(i)
 	}
 
-	// Ready queue: a task is ready iff it has a live job; pushing in
-	// id order yields a valid heap whose root is the policy-best head
-	// (readyLess is a total order, so the array layout is irrelevant
-	// to dispatch).
-	for d := range e.ready {
-		e.ready[d] = e.ready[d][:0]
-	}
-	for _, ts := range e.tasks {
-		if ts.live() > 0 {
-			e.readyPush(ts)
-		}
-	}
-
 	for c := range e.running {
 		e.running[c] = nil
 		id := cp.Running[c]
@@ -353,6 +350,20 @@ func (e *Engine) Restore(cp *Checkpoint) error {
 			return fmt.Errorf("engine: checkpoint running task %q has no live job", e.tasks[id].task.Name)
 		}
 		e.running[c] = j
+	}
+	e.worst = -1
+
+	// Ready queue: a task is ready iff it has a live job — under global
+	// dispatch, a live job that is not running. Pushing in id order
+	// yields a valid heap whose root is the policy-best head (readyLess
+	// is a total order, so the array layout is irrelevant to dispatch).
+	for d := range e.ready {
+		e.ready[d] = e.ready[d][:0]
+	}
+	for _, ts := range e.tasks {
+		if ts.live() > 0 && !(e.global() && e.isRunning(ts.head())) {
+			e.readyPush(ts)
+		}
 	}
 	return nil
 }

@@ -10,10 +10,14 @@
 // (Config.CPUs): global dispatch runs the M policy-best ready jobs,
 // migrating preempted jobs freely between cores (trace.JobMigrate),
 // while partitioned dispatch (Config.Partition) pins each task to one
-// core and schedules every core independently. CPUs=1 is the paper's
-// model and stays byte-identical to the historical single-slot trace
-// format: dispatch events carry the core in trace.Event.Arg, and core
-// 0 encodes as an absent arg.
+// core and schedules every core independently. Global dispatch keeps
+// its running set incrementally, as LITMUS^RT's global schedulers do:
+// the shared ready queue holds only waiting heads, a free core takes
+// the ready top, and the ready top displaces the policy-worst running
+// job only when it beats it — usually zero or one comparison per
+// event. CPUs=1 is the paper's model and stays byte-identical to the
+// historical single-slot trace format: dispatch events carry the core
+// in trace.Event.Arg, and core 0 encodes as an absent arg.
 //
 // The engine is event driven: job releases, deadline checks, timers
 // (used by the detectors of package detect) and predicted completions
@@ -25,10 +29,12 @@
 // supervisor's allowance stops, test hooks — carry a callback).
 // Deadline and completion events are cancelled eagerly: the heap
 // tracks each cancellable event's position, a job's deadline check is
-// removed the moment the job finishes, and the single completion
-// prediction is updated in place at every dispatch, so the heap stays
-// proportional to the live work (pending jobs + one release per task
-// + external timers) instead of accumulating stale entries. Dispatch
+// removed the moment the job finishes, and each core's completion
+// prediction is updated in place, and rekeyed only when its instant
+// moves (a dispatch, a stop request, a context-switch charge), so the
+// heap stays proportional to the live work (pending jobs + one
+// release per task + one completion per core + external timers)
+// instead of accumulating stale entries. Dispatch
 // picks the next job from an incrementally maintained policy-ordered
 // ready queue of task heads — O(log tasks) per update — rather than
 // scanning every task. Stops follow the paper's §4.1 semantics: a
@@ -362,17 +368,18 @@ const (
 	evDeadline
 	// evCompletion is a running job's predicted completion (arg =
 	// core). At most one exists per core; reschedule updates it in
-	// place.
+	// place when its instant moves.
 	evCompletion
 )
 
 // event is a typed heap entry. Events at the same instant run in
-// class order, then insertion order: completions and releases
-// (classNormal) are observed before detector checks (classDetector),
-// which precede deadline checks (classDeadline). A job finishing
-// exactly at its WCRT is therefore not flagged faulty, and a job
-// finishing exactly at its deadline is not a miss — both matching the
-// paper's closed inequalities.
+// class order: completions and releases (classNormal) are observed
+// before detector checks (classDetector), which precede deadline
+// checks (classDeadline). A job finishing exactly at its WCRT is
+// therefore not flagged faulty, and a job finishing exactly at its
+// deadline is not a miss — both matching the paper's closed
+// inequalities. Within a class, completions run after every other
+// kind, in core order; the rest run in insertion order (see less).
 //
 // The record is deliberately pointer free (24 bytes): arg is a handle
 // into a side table — the task index for releases, a job slot for
@@ -416,11 +423,16 @@ type Engine struct {
 	now     vtime.Time
 	// running[c] is the job executing on core c (nil = idle).
 	running []*Job
-	// cpus and partitioned cache the Config topology; sel backs the
-	// global top-M selection between events.
+	// cpus and partitioned cache the Config topology. Under global
+	// dispatch, sel and preempted are rescheduleGlobal's scratch (the
+	// jobs it selects, in rank order, and the jobs it displaces, per
+	// core), and worst caches the core running the policy-worst job
+	// (-1 = unknown) until the running set changes.
 	cpus        int
 	partitioned bool
 	sel         []*Job
+	preempted   []*Job
+	worst       int
 
 	// jobSlots resolves a live deadline event's arg to its job; the
 	// slot is allocated at admission and freed when the deadline
@@ -435,8 +447,11 @@ type Engine struct {
 	// ready[d] is dispatch domain d's policy-ordered min-heap of the
 	// ids of tasks with at least one live job, keyed by their head
 	// job; ties break on task id so dispatch picks exactly the job
-	// the historical linear scan did. One domain under global
-	// dispatch, one per core under partitioned.
+	// the historical linear scan did. One domain per core on a
+	// uniprocessor and under partitioned dispatch, where the running
+	// task stays in its domain; one shared domain under global
+	// dispatch, which holds only the tasks whose head job waits (the
+	// running jobs are in running).
 	ready [][]int32
 
 	// scratch backs ReadyJobs between events.
@@ -536,6 +551,8 @@ func New(cfg Config) (*Engine, error) {
 		cpus:        cfg.CPUs,
 		partitioned: cfg.Partition != nil,
 		running:     make([]*Job, cfg.CPUs),
+		preempted:   make([]*Job, cfg.CPUs),
+		worst:       -1,
 		cmplPos:     make([]int, cfg.CPUs),
 	}
 	for c := range e.cmplPos {
@@ -627,7 +644,14 @@ func (e *Engine) Record(ev trace.Event) {
 	}
 }
 
-// Schedule enqueues fn to run at instant at (clamped to now).
+// Schedule enqueues fn to run at instant at (clamped to now). At
+// equal instants fn runs after the events already scheduled there and
+// before every running job's completion (see less), wherever it is
+// scheduled from. From a hook or a callback inside the run loop that
+// is the order completions have always been observed in, since every
+// step re-predicts them; from outside the loop, between RunUntil and
+// Run, at a pending completion's exact instant, fn now runs before
+// that completion rather than after it. No caller schedules there.
 func (e *Engine) Schedule(at vtime.Time, fn func(now vtime.Time)) {
 	e.scheduleClass(at, classNormal, fn)
 }
@@ -654,8 +678,8 @@ func (e *Engine) scheduleClass(at vtime.Time, class uint8, fn func(now vtime.Tim
 	e.push(event{at: at, class: class, kind: evCallback, arg: slot})
 }
 
-// Event-heap primitives: a min-heap on (at, class, seq) that tracks
-// the positions of cancellable entries (deadline checks through
+// Event-heap primitives: a min-heap in less order that tracks the
+// positions of cancellable entries (deadline checks through
 // Job.dlPos, the per-core completion predictions through
 // Engine.cmplPos) so they can be removed or rekeyed in O(log n)
 // instead of lingering until their instant passes.
@@ -680,26 +704,51 @@ func (e *Engine) placed(i int) {
 	}
 }
 
-func (e *Engine) less(i, j int) bool {
-	if e.heap[i].at != e.heap[j].at {
-		return e.heap[i].at < e.heap[j].at
+// less orders the heap by instant, then class; within both, a
+// completion sorts after every other kind and completions sort by
+// core, and the rest sort by insertion (seq). Because every step ends
+// by re-predicting the completions, a completion thus takes exactly
+// the place it would take if it were pushed afresh, in core order,
+// after each step's other events — the order the trace goldens pin.
+// A completion therefore needs no seq, and setCompletion rekeys one
+// only when its instant moves.
+func (e *Engine) less(i, j int) bool { return before(&e.heap[i], &e.heap[j]) }
+
+// before is less on two event records.
+func before(a, b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	if e.heap[i].class != e.heap[j].class {
-		return e.heap[i].class < e.heap[j].class
+	if a.class != b.class {
+		return a.class < b.class
 	}
-	return e.heap[i].seq < e.heap[j].seq
+	if ac, bc := a.kind == evCompletion, b.kind == evCompletion; ac || bc {
+		if ac && bc {
+			return a.arg < b.arg
+		}
+		return bc
+	}
+	return a.seq < b.seq
 }
 
+// up and down sift through a hole: the moving event is written (and
+// its back-pointer recorded) once, at its final position, which
+// leaves the heap exactly as pairwise swaps would.
 func (e *Engine) up(i int) {
+	ev := e.heap[i]
+	start := i
 	for i > 0 {
 		p := (i - 1) / 2
-		if !e.less(i, p) {
+		if !before(&ev, &e.heap[p]) {
 			break
 		}
-		e.heap[i], e.heap[p] = e.heap[p], e.heap[i]
+		e.heap[i] = e.heap[p]
 		e.placed(i)
-		e.placed(p)
 		i = p
+	}
+	if i != start {
+		e.heap[i] = ev
+		e.placed(i)
 	}
 }
 
@@ -707,24 +756,29 @@ func (e *Engine) up(i int) {
 // element moved, so fix-style callers can fall back to up.
 func (e *Engine) down(i int) bool {
 	n := len(e.heap)
+	ev := e.heap[i]
 	start := i
 	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && e.less(l, small) {
-			small = l
+		c := 2*i + 1
+		if c >= n {
+			break
 		}
-		if r < n && e.less(r, small) {
-			small = r
+		if r := c + 1; r < n && before(&e.heap[r], &e.heap[c]) {
+			c = r
 		}
-		if small == i {
-			return i != start
+		if !before(&e.heap[c], &ev) {
+			break
 		}
-		e.heap[i], e.heap[small] = e.heap[small], e.heap[i]
+		e.heap[i] = e.heap[c]
 		e.placed(i)
-		e.placed(small)
-		i = small
+		i = c
 	}
+	if i == start {
+		return false
+	}
+	e.heap[i] = ev
+	e.placed(i)
+	return true
 }
 
 // clearPos resets the back-pointer of the event at position i before
@@ -781,23 +835,22 @@ func (e *Engine) pop() (event, bool) {
 }
 
 // setCompletion predicts core c's running-job completion at instant
-// at, updating the existing prediction in place when one is pending.
-// The refreshed seq keeps the historical ordering: the prediction
-// always ranks after every event scheduled before the current
-// dispatch, as it did when each dispatch pushed a fresh (then-newest)
-// event.
+// at. A pending prediction is updated in place, and only when its
+// instant moves: a job that keeps its core keeps its instant until a
+// stop request or a context-switch charge changes its demand. The
+// event carries no seq; less orders completions by kind and core.
 func (e *Engine) setCompletion(c int, at vtime.Time) {
-	e.seq++
 	if i := e.cmplPos[c]; i >= 0 {
-		e.heap[i].at = at
-		e.heap[i].seq = e.seq
-		if !e.down(i) {
-			e.up(i)
+		if e.heap[i].at != at {
+			e.heap[i].at = at
+			if !e.down(i) {
+				e.up(i)
+			}
 		}
 		return
 	}
 	i := len(e.heap)
-	e.heap = append(e.heap, event{at: at, class: classNormal, kind: evCompletion, seq: e.seq, arg: int32(c)})
+	e.heap = append(e.heap, event{at: at, class: classNormal, kind: evCompletion, arg: int32(c)})
 	e.placed(i)
 	e.up(i)
 }
@@ -1020,8 +1073,12 @@ func (e *Engine) finishIfDone(now vtime.Time) {
 
 // finishCore terminates core c's running job once it has consumed its
 // effective demand: it cancels the pending deadline check, consumes
-// the job from its task's queue, rekeys the ready queue, and (under
-// Stream collection) recycles the record after the hooks ran.
+// the job from its task's queue, updates the ready queue, and (under
+// Stream collection) recycles the record after the hooks ran. On a
+// uniprocessor and under partitioned dispatch the running task sits in
+// its domain's ready queue and is rekeyed or removed there; under
+// global dispatch it was off the queue, and its next job, if any, now
+// waits on it.
 func (e *Engine) finishCore(c int, now vtime.Time) {
 	j := e.running[c]
 	if j == nil || j.done || j.Executed < j.demand() {
@@ -1038,10 +1095,14 @@ func (e *Engine) finishCore(c int, now vtime.Time) {
 		panic(fmt.Sprintf("engine: finished job %s#%d is not its task's head", j.TaskName(), j.Q))
 	}
 	ts.popFront()
-	if ts.live() > 0 {
-		e.readyFix(ts)
-	} else {
-		e.readyRemove(ts)
+	if ts.rdPos >= 0 {
+		if ts.live() > 0 {
+			e.readyFix(ts)
+		} else {
+			e.readyRemove(ts)
+		}
+	} else if ts.live() > 0 {
+		e.readyPush(ts)
 	}
 	if j.limited && j.Actual+j.overhead > j.workLimit {
 		j.stopped = true
@@ -1056,6 +1117,9 @@ func (e *Engine) finishCore(c int, now vtime.Time) {
 		}
 	}
 	e.running[c] = nil
+	if e.worst == c {
+		e.worst = -1
+	}
 	if e.stream {
 		e.recycle(j)
 	}
@@ -1066,7 +1130,7 @@ func (e *Engine) finishCore(c int, now vtime.Time) {
 // partitioned dispatch, top-M from the shared domain under global
 // multiprocessor dispatch.
 func (e *Engine) reschedule(now vtime.Time) {
-	if e.cpus > 1 && !e.partitioned {
+	if e.global() {
 		e.rescheduleGlobal(now)
 		return
 	}
@@ -1074,6 +1138,9 @@ func (e *Engine) reschedule(now vtime.Time) {
 		e.rescheduleCore(c, now)
 	}
 }
+
+// global reports whether the M cores share one dispatch domain.
+func (e *Engine) global() bool { return e.cpus > 1 && !e.partitioned }
 
 // rescheduleCore dispatches domain c's best ready job onto core c —
 // the historical single-slot logic, with the core riding in the
@@ -1095,60 +1162,81 @@ func (e *Engine) rescheduleCore(c int, now vtime.Time) {
 	e.predictCompletion(c, now)
 }
 
-// rescheduleGlobal dispatches the M policy-best ready jobs onto the M
-// cores. Selection pops up to M task heads off the shared ready heap
-// in policy order (then pushes them back), so selection rank obeys
-// the same total order — task-id tie-break included — as the
-// single-core root. Jobs that stay selected keep their cores;
-// displaced jobs are preempted in core order; newly selected jobs
-// take the lowest-indexed free cores in policy-rank order, migrating
-// (trace.JobMigrate) when they last ran elsewhere.
+// rescheduleGlobal brings the running set to the M policy-best live
+// heads. The ready queue holds only the waiting heads, so a free core
+// takes the ready top, and while the ready top beats the policy-worst
+// running job it displaces that job, whose task goes back on the
+// queue. Selection thus obeys the same total order (policy, then task
+// id) as the single-core root, and it usually costs zero or one
+// comparison. Displaced jobs are preempted in core order before any
+// dispatch; newly selected jobs take the lowest-indexed free cores in
+// rank order, migrating (trace.JobMigrate) when they last ran
+// elsewhere. Only the changed cores' completions move.
 func (e *Engine) rescheduleGlobal(now vtime.Time) {
+	free := 0
+	for _, j := range e.running {
+		if j == nil {
+			free++
+		}
+	}
 	sel := e.sel[:0]
-	for len(sel) < e.cpus && len(e.ready[0]) > 0 {
+	for len(e.ready[0]) > 0 {
 		ts := e.tasks[e.ready[0][0]]
+		if free > 0 {
+			free--
+		} else {
+			// A job selected this instant never loses to a later ready
+			// top, so only the still-running jobs can be displaced.
+			w := e.worstCore()
+			if w < 0 || !e.readyLess(int32(ts.id), int32(e.running[w].task.id)) {
+				break
+			}
+			e.preempted[w] = e.running[w]
+			e.running[w] = nil
+			e.worst = -1
+		}
 		e.readyRemove(ts)
 		sel = append(sel, ts.head())
 	}
-	for _, j := range sel {
-		e.readyPush(j.task)
-	}
-	// Keep still-selected jobs where they run (their slot in sel is
-	// cleared); preempt the displaced.
-	for c, run := range e.running {
-		if run == nil {
-			continue
-		}
-		kept := false
-		for i, j := range sel {
-			if j == run {
-				sel[i] = nil
-				kept = true
-				break
-			}
-		}
-		if !kept {
-			if !run.done {
-				e.Record(trace.Event{At: now, Kind: trace.JobPreempt, Task: run.TaskName(), Job: run.Q, Arg: int64(c)})
-			}
-			e.running[c] = nil
+	for c, j := range e.preempted {
+		if j != nil {
+			e.Record(trace.Event{At: now, Kind: trace.JobPreempt, Task: j.TaskName(), Job: j.Q, Arg: int64(c)})
+			e.preempted[c] = nil
+			e.readyPush(j.task)
 		}
 	}
-	free := 0
+	c := 0
 	for _, j := range sel {
-		if j == nil {
-			continue
+		for e.running[c] != nil {
+			c++
 		}
-		for e.running[free] != nil {
-			free++
+		e.dispatch(j, c, now)
+		e.running[c] = j
+		if e.worst >= 0 && e.readyLess(int32(e.running[e.worst].task.id), int32(j.task.id)) {
+			e.worst = c
 		}
-		e.dispatch(j, free, now)
-		e.running[free] = j
 	}
 	e.sel = sel[:0]
 	for c := range e.running {
 		e.predictCompletion(c, now)
 	}
+}
+
+// worstCore returns the core running the policy-worst job, or -1
+// when every core idles. The answer is cached in e.worst until the
+// running set changes.
+func (e *Engine) worstCore() int {
+	if e.worst >= 0 {
+		return e.worst
+	}
+	w := -1
+	for c, j := range e.running {
+		if j != nil && (w < 0 || e.readyLess(int32(e.running[w].task.id), int32(j.task.id))) {
+			w = c
+		}
+	}
+	e.worst = w
+	return w
 }
 
 // dispatch places job j on core c, recording begin on first dispatch,

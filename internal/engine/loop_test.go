@@ -9,64 +9,107 @@ import (
 	"repro/internal/vtime"
 )
 
+// globalSet is an 80-task set at utilization 4.4 with 10–100 ms
+// periods: global dispatch on 8 cores, with constant preemption and
+// migration.
+func globalSet(t *testing.T) *taskset.Set {
+	t.Helper()
+	g := taskset.NewGenerator(19)
+	g.PeriodMin, g.PeriodMax = ms(10), ms(100)
+	set, err := g.Generate(80, 4.4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return set
+}
+
 // TestStreamSteadyStateAllocFree pins the typed event loop's central
 // property: once warm, a streaming run allocates nothing per event.
 // Two identical configurations differing only in horizon are measured
-// with testing.AllocsPerRun; the longer run simulates 50 extra
-// virtual seconds (thousands of events — releases, completions,
-// deadline checks, preemptions, stop-limited jobs through the fault
-// plan) and must not allocate more than a fixed handful beyond the
-// shorter one (slice-capacity settling), i.e. ~0 allocs/event.
+// with testing.AllocsPerRun; the longer run simulates thousands of
+// extra events — releases, completions, deadline checks, preemptions,
+// stop-limited jobs through the fault plan on a uniprocessor,
+// migrations under global dispatch on 8 cores — and must not allocate
+// more than a fixed handful beyond the shorter one (slice-capacity
+// settling), i.e. ~0 allocs/event.
 func TestStreamSteadyStateAllocFree(t *testing.T) {
-	perHorizon := func(end vtime.Time) float64 {
-		return testing.AllocsPerRun(5, func() {
-			e, err := New(Config{
-				Tasks:   table2WithOffset(),
-				Faults:  fault.Plan{"tau1": fault.OverrunEvery{First: 1, K: 3, Extra: ms(45)}},
-				End:     end,
-				Collect: Stream,
-				Sink:    trace.Discard,
-			})
-			if err != nil {
-				t.Fatal(err)
+	global := globalSet(t)
+	for _, tc := range []struct {
+		name        string
+		cfg         func() Config
+		short, long vtime.Time
+		extra       float64 // events the long run adds, roughly
+	}{
+		{"uniprocessor", func() Config {
+			return Config{
+				Tasks:  table2WithOffset(),
+				Faults: fault.Plan{"tau1": fault.OverrunEvery{First: 1, K: 3, Extra: ms(45)}},
 			}
-			e.Run()
+		}, at(10_000), at(60_000), 2250},
+		{"global-c8", func() Config {
+			return Config{Tasks: global, CPUs: 8}
+		}, at(2_000), at(6_000), 50_000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			perHorizon := func(end vtime.Time) float64 {
+				return testing.AllocsPerRun(5, func() {
+					cfg := tc.cfg()
+					cfg.End, cfg.Collect, cfg.Sink = end, Stream, trace.Discard
+					e, err := New(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					e.Run()
+				})
+			}
+			short, long := perHorizon(tc.short), perHorizon(tc.long)
+			// Allow a few allocs of slack for amortized container growth
+			// crossing the boundary.
+			const slack = 8
+			if long > short+slack {
+				t.Errorf("steady state allocates: %.0f allocs at %v vs %.0f at %v (+%.3f per extra event)",
+					short, tc.short, long, tc.long, (long-short)/tc.extra)
+			}
 		})
-	}
-	short := perHorizon(at(10_000))
-	long := perHorizon(at(60_000))
-	// ~50 s × ~45 events/s ≈ 2250 extra events; allow a few allocs of
-	// slack for amortized container growth crossing the boundary.
-	const slack = 8
-	if long > short+slack {
-		t.Errorf("steady state allocates: %.0f allocs at 10s vs %.0f at 60s (+%.2f per extra event)",
-			short, long, (long-short)/2250)
 	}
 }
 
 // TestHeapBoundedByLiveWork pins the cancellation rework: after a
 // long soak the event heap holds only live entries — one deadline
 // check per pending job, one release per task, at most one completion
-// prediction — instead of growing with stale epoch-guarded events.
+// prediction per core — instead of growing with stale epoch-guarded
+// events.
 func TestHeapBoundedByLiveWork(t *testing.T) {
-	e, _ := run(t, Config{
-		Tasks:  table2WithOffset(),
-		Faults: fault.Plan{"tau1": fault.OverrunEvery{First: 0, K: 2, Extra: ms(45)}},
-		End:    at(120_000),
-	})
-	live := 0
-	for _, ts := range e.tasks {
-		live += ts.live()
-	}
-	bound := live + len(e.tasks) + 1
-	if len(e.heap) > bound {
-		t.Errorf("heap holds %d events after the soak, want <= %d (%d live jobs + %d release timers + 1 completion)",
-			len(e.heap), bound, live, len(e.tasks))
-	}
-	// The deadline-slot table is recycled alongside: it must be
-	// bounded by the peak backlog, not the number of released jobs.
-	if len(e.jobSlots) > 64 {
-		t.Errorf("jobSlots grew to %d entries over %d releases", len(e.jobSlots), e.tasks[0].nextQ)
+	for _, tc := range []struct {
+		name     string
+		cfg      Config
+		maxSlots int
+	}{
+		{"uniprocessor", Config{
+			Tasks:  table2WithOffset(),
+			Faults: fault.Plan{"tau1": fault.OverrunEvery{First: 0, K: 2, Extra: ms(45)}},
+			End:    at(120_000),
+		}, 64},
+		{"global-c8", Config{Tasks: globalSet(t), CPUs: 8, End: at(20_000)}, 2 * 80},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, _ := run(t, tc.cfg)
+			live := 0
+			for _, ts := range e.tasks {
+				live += ts.live()
+			}
+			bound := live + len(e.tasks) + e.cpus
+			if len(e.heap) > bound {
+				t.Errorf("heap holds %d events after the soak, want <= %d (%d live jobs + %d release timers + %d completions)",
+					len(e.heap), bound, live, len(e.tasks), e.cpus)
+			}
+			// The deadline-slot table is recycled alongside: it must be
+			// bounded by the peak backlog, not the number of released
+			// jobs.
+			if len(e.jobSlots) > tc.maxSlots {
+				t.Errorf("jobSlots grew to %d entries over %d releases", len(e.jobSlots), e.tasks[0].nextQ)
+			}
+		})
 	}
 }
 

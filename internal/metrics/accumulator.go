@@ -21,41 +21,101 @@ import (
 // order assumed is the engine's: a job's terminal event (end or stop)
 // is its last.
 type Accumulator struct {
-	eps    float64
-	tasks  map[string]*TaskSummary
-	sketch map[string]*Sketch
-	live   map[jobKey]*liveJob
-
-	// Cycle tracking backs the engine's steady-state fast-forward
-	// (engine.CycleObserver): CycleMark snapshots per-task counters at
-	// a hyperperiod boundary and resets the per-cycle sketches;
-	// ExtrapolateCycles folds K identical cycles in analytically. Both
-	// maps stay nil until the first CycleMark, so plain runs pay
-	// nothing.
-	cycleBase   map[string]cycleBase
-	cycleSketch map[string]*Sketch
+	eps float64
+	// tasks holds one record per task name: an event costs one lookup
+	// here and a short scan of the task's live jobs, and a job
+	// allocates nothing.
+	tasks map[string]*taskAcc
+	// marked is set by the first CycleMark: cycle tracking backs the
+	// engine's steady-state fast-forward (engine.CycleObserver), and
+	// until a mark plain runs keep no per-cycle sketches.
+	marked bool
 }
 
-// cycleBase is a task's counter snapshot at the last CycleMark; the
-// delta to the current counters is exactly one hyperperiod cycle when
-// the engine detects a fingerprint match at the next boundary.
+// taskAcc is one task's accumulated state.
+type taskAcc struct {
+	sum TaskSummary
+	// reported is false while the task is known only from a restored
+	// or absorbed live job; it joins Report and State with its first
+	// summarized event.
+	reported bool
+	sketch   *Sketch // successful responses (nil until the first)
+	// base is the task's counter snapshot at the last CycleMark and
+	// cycle the sketch of its successful responses since (nil =
+	// empty): when the engine proves the next boundary revisits the
+	// marked state, the deltas and the cycle sketch describe exactly
+	// one hyperperiod cycle.
+	base  cycleBase
+	cycle *Sketch
+	live  liveJobs
+}
+
+// cycleBase is a task's counter snapshot at the last CycleMark.
 type cycleBase struct {
 	released, finished, stopped, missed, failed, detected int
 	respSum                                               vtime.Duration
 	respN                                                 int64
 }
 
-type jobKey struct {
-	task string
-	q    int64
-}
-
 // liveJob is the transient state of a job seen but not yet
 // terminated: exactly what summarizing its terminal event requires.
 type liveJob struct {
+	q        int64
 	release  vtime.Time
 	missed   bool
 	detected bool
+}
+
+// liveJobs is one task's live jobs in ascending q, jobs[head:]. A
+// task's backlog is short, and its jobs terminate in release order
+// except for a job dropped at its release (the newest), so removals
+// are at the front — a consumed prefix compacted amortizedly, like
+// the engine's pending queue — or at the back. Any order stays
+// correct, if slower.
+type liveJobs struct {
+	jobs []liveJob
+	head int
+}
+
+func (l *liveJobs) len() int { return len(l.jobs) - l.head }
+
+// find returns the index of job q and true, or the index at which to
+// insert it and false.
+func (l *liveJobs) find(q int64) (int, bool) {
+	lo, hi := l.head, len(l.jobs)
+	if lo < hi && l.jobs[hi-1].q < q {
+		return hi, false // a release: past every live job
+	}
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if l.jobs[mid].q < q {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(l.jobs) && l.jobs[lo].q == q
+}
+
+// insert places j at index i, as returned by find.
+func (l *liveJobs) insert(i int, j liveJob) {
+	l.jobs = append(l.jobs, liveJob{})
+	copy(l.jobs[i+1:], l.jobs[i:])
+	l.jobs[i] = j
+}
+
+// remove deletes the job at index i.
+func (l *liveJobs) remove(i int) {
+	if i != l.head {
+		l.jobs = append(l.jobs[:i], l.jobs[i+1:]...)
+		return
+	}
+	l.head++
+	if l.head == len(l.jobs) {
+		l.jobs, l.head = l.jobs[:0], 0
+	} else if l.head >= 32 && l.head*2 >= len(l.jobs) {
+		l.jobs, l.head = l.jobs[:copy(l.jobs, l.jobs[l.head:])], 0
+	}
 }
 
 // NewAccumulator returns an empty accumulator using the default
@@ -65,35 +125,17 @@ func NewAccumulator() *Accumulator { return NewAccumulatorEpsilon(DefaultSketchE
 // NewAccumulatorEpsilon returns an empty accumulator whose percentile
 // sketches carry rank-error bound eps.
 func NewAccumulatorEpsilon(eps float64) *Accumulator {
-	return &Accumulator{
-		eps:    eps,
-		tasks:  map[string]*TaskSummary{},
-		sketch: map[string]*Sketch{},
-		live:   map[jobKey]*liveJob{},
-	}
+	return &Accumulator{eps: eps, tasks: map[string]*taskAcc{}}
 }
 
-// ensure returns the live record of job k, creating it — and counting
-// the job as released, mirroring Analyze's distinct-job accounting —
-// on first sight.
-func (a *Accumulator) ensure(k jobKey, s *TaskSummary) *liveJob {
-	if lj, ok := a.live[k]; ok {
-		return lj
-	}
-	lj := &liveJob{}
-	a.live[k] = lj
-	s.Released++
-	return lj
-}
-
-// summary returns task's summary, creating it on first sight.
-func (a *Accumulator) summary(task string) *TaskSummary {
-	s, ok := a.tasks[task]
+// record returns task's record, creating it on first sight.
+func (a *Accumulator) record(task string) *taskAcc {
+	r, ok := a.tasks[task]
 	if !ok {
-		s = &TaskSummary{Task: task}
-		a.tasks[task] = s
+		r = &taskAcc{sum: TaskSummary{Task: task}}
+		a.tasks[task] = r
 	}
-	return s
+	return r
 }
 
 // Append consumes one trace event (trace.Sink).
@@ -110,33 +152,42 @@ func (a *Accumulator) Append(e trace.Event) {
 	default:
 		return
 	}
-	k := jobKey{e.Task, e.Job}
-	s := a.summary(e.Task)
-	lj := a.ensure(k, s)
+	r := a.record(e.Task)
+	r.reported = true
+	i, ok := r.live.find(e.Job)
+	if !ok {
+		// First sight of the job counts it as released, mirroring
+		// Analyze's distinct-job accounting.
+		r.live.insert(i, liveJob{q: e.Job})
+		r.sum.Released++
+	}
+	lj := &r.live.jobs[i]
 	switch e.Kind {
 	case trace.JobRelease:
 		lj.release = e.At
 	case trace.JobEnd:
-		a.terminate(k, s, lj, e.At, false)
+		a.terminate(r, i, e.At, false)
 	case trace.JobStopped:
-		a.terminate(k, s, lj, e.At, true)
+		a.terminate(r, i, e.At, true)
 	case trace.DeadlineMiss:
 		if !lj.missed {
 			lj.missed = true
-			s.Missed++
-			s.Failed++
+			r.sum.Missed++
+			r.sum.Failed++
 		}
 	case trace.FaultDetected:
 		if !lj.detected {
 			lj.detected = true
-			s.Detected++
+			r.sum.Detected++
 		}
 	}
 }
 
-// terminate folds a job's terminal event into its task summary and
-// releases the transient record.
-func (a *Accumulator) terminate(k jobKey, s *TaskSummary, lj *liveJob, at vtime.Time, stopped bool) {
+// terminate folds the terminal event of r's live job i into the task
+// summary and drops the job.
+func (a *Accumulator) terminate(r *taskAcc, i int, at vtime.Time, stopped bool) {
+	lj := r.live.jobs[i]
+	s := &r.sum
 	resp := at.Sub(lj.release)
 	if stopped {
 		s.Stopped++
@@ -159,22 +210,18 @@ func (a *Accumulator) terminate(k jobKey, s *TaskSummary, lj *liveJob, at vtime.
 	if !stopped && !lj.missed {
 		// The percentile sketch covers successful responses only,
 		// matching ResponsePercentile's exact path.
-		sk, ok := a.sketch[k.task]
-		if !ok {
-			sk = NewSketch(a.eps)
-			a.sketch[k.task] = sk
+		if r.sketch == nil {
+			r.sketch = NewSketch(a.eps)
 		}
-		sk.Add(resp)
-		if a.cycleSketch != nil {
-			cs, ok := a.cycleSketch[k.task]
-			if !ok {
-				cs = NewSketch(a.eps)
-				a.cycleSketch[k.task] = cs
+		r.sketch.Add(resp)
+		if a.marked {
+			if r.cycle == nil {
+				r.cycle = NewSketch(a.eps)
 			}
-			cs.Add(resp)
+			r.cycle.Add(resp)
 		}
 	}
-	delete(a.live, k)
+	r.live.remove(i)
 }
 
 // CycleMark records a hyperperiod boundary (engine.CycleObserver): it
@@ -182,19 +229,17 @@ func (a *Accumulator) terminate(k jobKey, s *TaskSummary, lj *liveJob, at vtime.
 // so that if the engine proves the next boundary revisits this exact
 // state, the counter deltas and cycle sketches describe one full cycle.
 func (a *Accumulator) CycleMark() {
-	if a.cycleBase == nil {
-		a.cycleBase = map[string]cycleBase{}
-		a.cycleSketch = map[string]*Sketch{}
-	}
-	for name, s := range a.tasks {
-		a.cycleBase[name] = cycleBase{
+	a.marked = true
+	for _, r := range a.tasks {
+		s := &r.sum
+		r.base = cycleBase{
 			released: s.Released, finished: s.Finished, stopped: s.Stopped,
 			missed: s.Missed, failed: s.Failed, detected: s.Detected,
 			respSum: s.respSum, respN: s.respN,
 		}
-	}
-	for name := range a.cycleSketch {
-		delete(a.cycleSketch, name)
+		if r.cycle != nil {
+			r.cycle.reset()
+		}
 	}
 }
 
@@ -211,12 +256,13 @@ func (a *Accumulator) CycleMark() {
 // advanced by k·jobsPerCycle of their task, release shifted by k·h,
 // matching the engine's own state jump.
 func (a *Accumulator) ExtrapolateCycles(k int64, h vtime.Duration, jobsPerCycle map[string]int64) {
-	if k <= 0 || a.cycleBase == nil {
+	if k <= 0 || !a.marked {
 		return
 	}
 	ki := int(k)
-	for name, s := range a.tasks {
-		b := a.cycleBase[name]
+	shift := vtime.Duration(k) * h
+	for name, r := range a.tasks {
+		s, b := &r.sum, r.base
 		s.Released += ki * (s.Released - b.released)
 		s.Finished += ki * (s.Finished - b.finished)
 		s.Stopped += ki * (s.Stopped - b.stopped)
@@ -225,33 +271,33 @@ func (a *Accumulator) ExtrapolateCycles(k int64, h vtime.Duration, jobsPerCycle 
 		s.Detected += ki * (s.Detected - b.detected)
 		s.respSum += vtime.Duration(k) * (s.respSum - b.respSum)
 		s.respN += k * (s.respN - b.respN)
-	}
-	for name, cs := range a.cycleSketch {
-		if cs.N() == 0 {
-			continue
+		if cs := r.cycle; cs != nil && cs.N() > 0 {
+			cs.ScaleMerge(k)
+			if r.sketch == nil {
+				r.sketch = NewSketch(a.eps)
+			}
+			r.sketch.Merge(cs)
+			r.cycle = nil
 		}
-		cs.ScaleMerge(k)
-		main, ok := a.sketch[name]
-		if !ok {
-			main = NewSketch(a.eps)
-			a.sketch[name] = main
+		dq := k * jobsPerCycle[name]
+		for i := r.live.head; i < len(r.live.jobs); i++ {
+			lj := &r.live.jobs[i]
+			lj.q += dq
+			lj.release = lj.release.Add(shift)
 		}
-		main.Merge(cs)
-		delete(a.cycleSketch, name)
 	}
-	shift := vtime.Duration(k) * h
-	remapped := make(map[jobKey]*liveJob, len(a.live))
-	for key, lj := range a.live {
-		lj.release = lj.release.Add(shift)
-		remapped[jobKey{key.task, key.q + k*jobsPerCycle[key.task]}] = lj
-	}
-	a.live = remapped
 }
 
 // Live returns the number of jobs currently tracked as released but
 // not terminated — the accumulator's only horizon-dependent state,
 // bounded by the scheduling backlog.
-func (a *Accumulator) Live() int { return len(a.live) }
+func (a *Accumulator) Live() int {
+	n := 0
+	for _, r := range a.tasks {
+		n += r.live.len()
+	}
+	return n
+}
 
 // Report snapshots the accumulated summaries as a *Report. The report
 // carries no per-job records (Jobs is nil); ResponsePercentile
@@ -262,17 +308,20 @@ func (a *Accumulator) Live() int { return len(a.live) }
 func (a *Accumulator) Report() *Report {
 	rep := &Report{
 		Tasks:    make(map[string]*TaskSummary, len(a.tasks)),
-		sketches: make(map[string]*Sketch, len(a.sketch)),
+		sketches: make(map[string]*Sketch, len(a.tasks)),
 	}
-	for name, s := range a.tasks {
-		c := *s
+	for name, r := range a.tasks {
+		if !r.reported {
+			continue
+		}
+		c := r.sum
 		if c.respN > 0 {
 			c.MeanResponse = c.respSum / vtime.Duration(c.respN)
 		}
 		rep.Tasks[name] = &c
-	}
-	for name, sk := range a.sketch {
-		rep.sketches[name] = sk.Clone()
+		if r.sketch != nil {
+			rep.sketches[name] = r.sketch.Clone()
+		}
 	}
 	return rep
 }

@@ -188,3 +188,51 @@ func TestAccumulatorLargeRandomStream(t *testing.T) {
 		t.Errorf("all jobs terminated but %d remain live", acc.Live())
 	}
 }
+
+// TestAccumulatorSteadyStateAllocFree pins the per-task records: once
+// warm, the accumulator allocates nothing per job over a streamed
+// periodic run. One 40 ms cycle releases, begins and ends 15 jobs of
+// four tasks; task d's jobs respond in 20 ms on a 10 ms period, so it
+// always has two or three jobs live and its oldest leaves from the
+// front. A record allocated per job fails at once.
+func TestAccumulatorSteadyStateAllocFree(t *testing.T) {
+	acc := NewAccumulator()
+	tasks := []struct {
+		name         string
+		period, resp int64
+	}{{"a", 10, 2}, {"b", 20, 7}, {"c", 40, 15}, {"d", 10, 20}}
+	cycle := int64(0)
+	oneCycle := func() {
+		for _, tk := range tasks {
+			perCycle := 40 / tk.period
+			for k := int64(0); k < perCycle; k++ {
+				q := cycle*perCycle + k
+				rel := vtime.AtMillis(q * tk.period)
+				if tk.name == "d" {
+					// d's job q-2 ends as job q is released.
+					if q >= 2 {
+						acc.Append(trace.Event{At: rel, Kind: trace.JobEnd, Task: "d", Job: q - 2})
+					}
+					acc.Append(trace.Event{At: rel, Kind: trace.JobRelease, Task: "d", Job: q})
+					continue
+				}
+				acc.Append(trace.Event{At: rel, Kind: trace.JobRelease, Task: tk.name, Job: q})
+				acc.Append(trace.Event{At: rel, Kind: trace.JobBegin, Task: tk.name, Job: q})
+				acc.Append(trace.Event{At: rel.Add(vtime.Millis(tk.resp)), Kind: trace.JobEnd, Task: tk.name, Job: q})
+			}
+		}
+		cycle++
+	}
+	for i := 0; i < 200; i++ {
+		oneCycle() // warm: task records, sketches, live-job storage
+	}
+	if allocs := testing.AllocsPerRun(1000, oneCycle); allocs != 0 {
+		t.Errorf("a warm accumulator allocates %.0f times per 15-job cycle, want 0", allocs)
+	}
+	if n := acc.Live(); n != 2 {
+		t.Errorf("live jobs = %d, want d's two in flight", n)
+	}
+	if s := acc.Report().Tasks["d"]; s.Finished != s.Released-2 || s.MaxResponse != vtime.Millis(20) {
+		t.Errorf("task d summary %+v", *s)
+	}
+}

@@ -58,6 +58,10 @@ func (s *Sketch) Clone() *Sketch {
 // N returns the number of observations added.
 func (s *Sketch) N() int64 { return s.n }
 
+// reset empties the sketch in place, keeping its bound and its tuple
+// storage.
+func (s *Sketch) reset() { s.n, s.t = 0, s.t[:0] }
+
 // Merge folds another sketch into this one (the other is unchanged):
 // the tuple lists interleave by value, and each surviving tuple's
 // rank uncertainty widens by the local uncertainty of its neighbour

@@ -69,40 +69,39 @@ func (a *Accumulator) State() *AccumulatorState {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		s := a.tasks[name]
-		ts := TaskState{
-			Task:        name,
-			Released:    s.Released,
-			Finished:    s.Finished,
-			Stopped:     s.Stopped,
-			Missed:      s.Missed,
-			Failed:      s.Failed,
-			Detected:    s.Detected,
-			MinResponse: int64(s.MinResponse),
-			MaxResponse: int64(s.MaxResponse),
-			RespSum:     int64(s.respSum),
-			RespN:       s.respN,
+		r := a.tasks[name]
+		if r.reported {
+			s := &r.sum
+			ts := TaskState{
+				Task:        name,
+				Released:    s.Released,
+				Finished:    s.Finished,
+				Stopped:     s.Stopped,
+				Missed:      s.Missed,
+				Failed:      s.Failed,
+				Detected:    s.Detected,
+				MinResponse: int64(s.MinResponse),
+				MaxResponse: int64(s.MaxResponse),
+				RespSum:     int64(s.respSum),
+				RespN:       s.respN,
+			}
+			if r.sketch != nil {
+				ts.Sketch = r.sketch.State()
+			}
+			st.Tasks = append(st.Tasks, ts)
 		}
-		if sk, ok := a.sketch[name]; ok {
-			ts.Sketch = sk.State()
+		// Names ascend and each task's live jobs ascend in q: the
+		// (task, q) order of the encoding.
+		for _, lj := range r.live.jobs[r.live.head:] {
+			st.Live = append(st.Live, LiveJobState{
+				Task:     name,
+				Q:        lj.q,
+				Release:  int64(lj.release),
+				Missed:   lj.missed,
+				Detected: lj.detected,
+			})
 		}
-		st.Tasks = append(st.Tasks, ts)
 	}
-	for k, lj := range a.live {
-		st.Live = append(st.Live, LiveJobState{
-			Task:     k.task,
-			Q:        k.q,
-			Release:  int64(lj.release),
-			Missed:   lj.missed,
-			Detected: lj.detected,
-		})
-	}
-	sort.Slice(st.Live, func(i, j int) bool {
-		if st.Live[i].Task != st.Live[j].Task {
-			return st.Live[i].Task < st.Live[j].Task
-		}
-		return st.Live[i].Q < st.Live[j].Q
-	})
 	return st
 }
 
@@ -112,21 +111,24 @@ func (a *Accumulator) RestoreState(st *AccumulatorState) error {
 	if st.Version != AccumulatorStateVersion {
 		return fmt.Errorf("metrics: accumulator state version %d, want %d", st.Version, AccumulatorStateVersion)
 	}
-	if len(a.tasks) != 0 || len(a.live) != 0 {
+	if len(a.tasks) != 0 {
 		return fmt.Errorf("metrics: RestoreState on a non-empty accumulator")
 	}
 	a.eps = st.Epsilon
 	for _, ts := range st.Tasks {
-		a.tasks[ts.Task] = ts.summary()
+		r := a.record(ts.Task)
+		r.sum, r.reported = *ts.summary(), true
 		if ts.Sketch != nil {
-			a.sketch[ts.Task] = ts.Sketch.sketch()
+			r.sketch = ts.Sketch.sketch()
 		}
 	}
 	for _, lj := range st.Live {
-		a.live[jobKey{lj.Task, lj.Q}] = &liveJob{
-			release:  vtime.Time(lj.Release),
-			missed:   lj.Missed,
-			detected: lj.Detected,
+		r := a.record(lj.Task)
+		j := liveJob{q: lj.Q, release: vtime.Time(lj.Release), missed: lj.Missed, detected: lj.Detected}
+		if i, dup := r.live.find(lj.Q); dup {
+			r.live.jobs[i] = j
+		} else {
+			r.live.insert(i, j)
 		}
 	}
 	return nil
@@ -159,7 +161,9 @@ func (a *Accumulator) Absorb(st *AccumulatorState) error {
 		return fmt.Errorf("metrics: accumulator state version %d, want %d", st.Version, AccumulatorStateVersion)
 	}
 	for _, ts := range st.Tasks {
-		s := a.summary(ts.Task)
+		r := a.record(ts.Task)
+		r.reported = true
+		s := &r.sum
 		incoming := ts.summary()
 		if incoming.respN > 0 && (s.respN == 0 || incoming.MinResponse < s.MinResponse) {
 			s.MinResponse = incoming.MinResponse
@@ -177,19 +181,20 @@ func (a *Accumulator) Absorb(st *AccumulatorState) error {
 		s.respN += incoming.respN
 		if ts.Sketch != nil {
 			in := ts.Sketch.sketch()
-			if sk, ok := a.sketch[ts.Task]; ok {
-				sk.Merge(in)
+			if r.sketch != nil {
+				r.sketch.Merge(in)
 			} else {
-				a.sketch[ts.Task] = in
+				r.sketch = in
 			}
 		}
 	}
 	for _, lj := range st.Live {
-		k := jobKey{lj.Task, lj.Q}
-		if _, dup := a.live[k]; dup {
+		r := a.record(lj.Task)
+		i, dup := r.live.find(lj.Q)
+		if dup {
 			return fmt.Errorf("metrics: Absorb live-job collision %s#%d (shards must cover disjoint runs)", lj.Task, lj.Q)
 		}
-		a.live[k] = &liveJob{release: vtime.Time(lj.Release), missed: lj.Missed, detected: lj.Detected}
+		r.live.insert(i, liveJob{q: lj.Q, release: vtime.Time(lj.Release), missed: lj.Missed, detected: lj.Detected})
 	}
 	return nil
 }

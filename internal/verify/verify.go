@@ -34,6 +34,12 @@
 //   - each dispatch picks the policy-best ready head — fixed-priority
 //     order exactly; EDF and the EDF-ordered overload baselines (RED,
 //     best-effort, D-over) via recomputed deadline keys;
+//   - at every settled instant, on any core count, no job that became
+//     waiting at that instant (released as its task's head, exposed by
+//     its predecessor's termination, or preempted) outranks a running
+//     job it competes with — every running job under global dispatch,
+//     the job on its own core under partitioned placement — so a
+//     missed preemption fails;
 //   - detector releases fire exactly at release_q + detector offset,
 //     the paper's latest-detection bound (WCRT, or the equitable
 //     shifted WCRT, quantized to the timer resolution), and flag only
@@ -292,6 +298,9 @@ type Checker struct {
 	// deadline: once the clock passes a deadline, the job there must
 	// have terminated or carry a recorded miss.
 	dlheap []*jobState
+	// waiting collects the heads that became waiting at the current
+	// instant, for waitingRank once the instant settles.
+	waiting []*jobState
 
 	violations []Violation
 	total      int
@@ -579,6 +588,45 @@ func (c *Checker) workConservation(at vtime.Time) {
 	}
 }
 
+// waitingRank enforces, at a settled instant, that no head that
+// became waiting at that instant outranks a running job it competes
+// with: every running job on a uniprocessor and under global dispatch,
+// the job on the head's pinned core under partitioned placement.
+// Checking only the newly waiting heads suffices, because a head that
+// already waited at the previous settled instant is checked against
+// every later dispatch by checkDispatch. Polling servers, which
+// legally wait on an exhausted budget, are excluded as workConservation
+// excludes them, as are tasks whose order cannot be recomputed.
+func (c *Checker) waitingRank(at vtime.Time) {
+	for _, w := range c.waiting {
+		tc := w.tc
+		if c.order == orderUnknown || w.running || w.terminated || !tc.known || tc.budget > 0 || tc.headJob() != w {
+			continue
+		}
+		for cpu, r := range c.running {
+			if r == nil || !r.tc.known || (tc.pinned && tc.core != cpu) {
+				continue
+			}
+			if c.better(w, r) {
+				c.violate(at, "waiting-outranks-running", "%s waits at settled instant %v while %s, which policy %q ranks below it, runs on core %d",
+					w.name(), at, r.name(), c.cfg.Policy, cpu)
+				break
+			}
+		}
+	}
+	c.waiting = c.waiting[:0]
+}
+
+// settled checks the axioms of an instant whose events have all been
+// processed: the rank of the newly waiting heads and, on
+// multiprocessor runs, work conservation.
+func (c *Checker) settled(at vtime.Time) {
+	c.waitingRank(at)
+	if len(c.running) > 1 {
+		c.workConservation(at)
+	}
+}
+
 // Append consumes one trace event (trace.Sink).
 func (c *Checker) Append(e trace.Event) {
 	if c.finished {
@@ -588,9 +636,9 @@ func (c *Checker) Append(e trace.Event) {
 	if c.seen && e.At.Before(c.lastAt) {
 		c.violate(e.At, "monotone-time", "event %v at %v after an event at %v", e.Kind, e.At, c.lastAt)
 	}
-	if c.seen && e.At.After(c.lastAt) && len(c.running) > 1 {
+	if c.seen && e.At.After(c.lastAt) {
 		// Time advanced: the state at lastAt is settled — check it.
-		c.workConservation(c.lastAt)
+		c.settled(c.lastAt)
 	}
 	c.seen = true
 	if e.At.After(c.lastAt) {
@@ -681,6 +729,7 @@ func (c *Checker) Append(e trace.Event) {
 			c.violate(e.At, "preempt-not-running", "preempt of %s#%d which is not the job running on core %d", tc.name, e.Job, cpu)
 		}
 		c.stopRun(j, e.At)
+		c.waiting = append(c.waiting, j)
 	case trace.JobEnd:
 		c.terminal(e, tc, false)
 	case trace.JobStopped:
@@ -785,6 +834,9 @@ func (c *Checker) release(e trace.Event, tc *taskCheck) {
 	}
 	tc.released++
 	tc.queue = append(tc.queue, j)
+	if tc.live() == 1 {
+		c.waiting = append(c.waiting, j)
+	}
 }
 
 // terminal handles JobEnd and JobStopped.
@@ -830,6 +882,9 @@ func (c *Checker) terminal(e trace.Event, tc *taskCheck, stopped bool) {
 		}
 	}
 	tc.consume(j)
+	if h := tc.headJob(); h != nil {
+		c.waiting = append(c.waiting, h)
+	}
 }
 
 // Finish closes the run at the configured horizon and enforces the
@@ -844,9 +899,9 @@ func (c *Checker) Finish() {
 	if end < c.lastAt {
 		end = c.lastAt
 	}
-	if c.seen && len(c.running) > 1 {
+	if c.seen {
 		// The trace's final state is settled through the horizon.
-		c.workConservation(c.lastAt)
+		c.settled(c.lastAt)
 	}
 	// The engine processes events up to and including the horizon, so
 	// a deadline exactly at the horizon has had its miss recorded.

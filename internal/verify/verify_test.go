@@ -121,7 +121,9 @@ func TestDispatchOrderFixedPriority(t *testing.T) {
 		ev(5, trace.JobBegin, "t1", 0),
 		ev(7, trace.JobEnd, "t1", 0),
 	)
-	wantRule(t, c, "dispatch-order")
+	// The wrong dispatch also leaves t1#0 waiting behind t2#0 once
+	// instant 0 settles.
+	wantRule(t, c, "dispatch-order", "waiting-outranks-running")
 }
 
 func TestDispatchOrderEDF(t *testing.T) {
@@ -136,7 +138,9 @@ func TestDispatchOrderEDF(t *testing.T) {
 		ev(5, trace.JobBegin, "t1", 0),
 		ev(7, trace.JobEnd, "t1", 0),
 	)
-	wantRule(t, c, "dispatch-order")
+	// The wrong dispatch also leaves t1#0 waiting behind t2#0 once
+	// instant 0 settles.
+	wantRule(t, c, "dispatch-order", "waiting-outranks-running")
 }
 
 func TestDispatchOrderUnknownPolicySkipped(t *testing.T) {
@@ -604,4 +608,103 @@ func TestCPUIndexOutOfRange(t *testing.T) {
 		ev(2, trace.JobEnd, "t1", 0),
 	)
 	wantRule(t, c, "cpu-index")
+}
+
+// TestMissedPreemptionUniprocessor: t1#1 is released at 4 ms while
+// t2#0 runs, and t2#0 keeps the core. Each dispatch on its own is
+// legal — t2#0 was the best head when it began — so only the
+// settled-instant rank check sees the missed preemption.
+func TestMissedPreemptionUniprocessor(t *testing.T) {
+	c := checker(t, Config{Tasks: taskset.MustNew(
+		taskset.Task{Name: "t1", Priority: 2, Period: vtime.Millis(4), Deadline: vtime.Millis(4), Cost: vtime.Millis(1)},
+		taskset.Task{Name: "t2", Priority: 1, Period: vtime.Millis(20), Deadline: vtime.Millis(20), Cost: vtime.Millis(5)},
+	), Horizon: vtime.AtMillis(8)})
+	feed(c,
+		ev(0, trace.JobRelease, "t1", 0),
+		ev(0, trace.JobRelease, "t2", 0),
+		ev(0, trace.JobBegin, "t1", 0),
+		ev(1, trace.JobEnd, "t1", 0),
+		ev(1, trace.JobBegin, "t2", 0),
+		ev(4, trace.JobRelease, "t1", 1), // t2#0 keeps the core
+		ev(6, trace.JobEnd, "t2", 0),
+		ev(6, trace.JobBegin, "t1", 1),
+		ev(7, trace.JobEnd, "t1", 1),
+	)
+	wantRule(t, c, "waiting-outranks-running")
+}
+
+// TestMissedPreemptionGlobal: on 2 cores hi#1 is released at 50 ms
+// while mid and lo run, and neither is preempted.
+func TestMissedPreemptionGlobal(t *testing.T) {
+	set := taskset.MustNew(
+		taskset.Task{Name: "hi", Priority: 3, Period: vtime.Millis(50), Deadline: vtime.Millis(50), Cost: vtime.Millis(20)},
+		taskset.Task{Name: "mid", Priority: 2, Period: vtime.Millis(200), Deadline: vtime.Millis(200), Cost: vtime.Millis(60)},
+		taskset.Task{Name: "lo", Priority: 1, Period: vtime.Millis(200), Deadline: vtime.Millis(200), Cost: vtime.Millis(60)},
+	)
+	c := checker(t, Config{Tasks: set, CPUs: 2, Horizon: vtime.AtMillis(100)})
+	feed(c,
+		ev(0, trace.JobRelease, "hi", 0),
+		ev(0, trace.JobRelease, "mid", 0),
+		ev(0, trace.JobRelease, "lo", 0),
+		evc(0, trace.JobBegin, "hi", 0, 0),
+		evc(0, trace.JobBegin, "mid", 0, 1),
+		ev(20, trace.JobEnd, "hi", 0),
+		evc(20, trace.JobBegin, "lo", 0, 0),
+		ev(50, trace.JobRelease, "hi", 1), // lo keeps core 0
+		ev(60, trace.JobEnd, "mid", 0),
+		evc(60, trace.JobBegin, "hi", 1, 1),
+		ev(80, trace.JobEnd, "hi", 1),
+		ev(80, trace.JobEnd, "lo", 0),
+	)
+	wantRule(t, c, "waiting-outranks-running")
+}
+
+// TestWaitingRankPartitionedPerCore: under partitioned placement a
+// waiting head is compared with its own core's job only. mid waits on
+// core 0 behind hi while lo, which mid outranks, runs on core 1: legal.
+// hi#1 waiting on core 0 behind mid, which it outranks, is a missed
+// preemption.
+func TestWaitingRankPartitionedPerCore(t *testing.T) {
+	set := taskset.MustNew(
+		taskset.Task{Name: "hi", Priority: 3, Period: vtime.Millis(50), Deadline: vtime.Millis(50), Cost: vtime.Millis(10)},
+		taskset.Task{Name: "mid", Priority: 2, Period: vtime.Millis(200), Deadline: vtime.Millis(200), Cost: vtime.Millis(60)},
+		taskset.Task{Name: "lo", Priority: 1, Period: vtime.Millis(200), Deadline: vtime.Millis(200), Cost: vtime.Millis(60)},
+	)
+	assign := map[string]int{"hi": 0, "mid": 0, "lo": 1}
+	legal := checker(t, Config{Tasks: set, CPUs: 2, Horizon: vtime.AtMillis(100), Assignment: assign})
+	feed(legal,
+		ev(0, trace.JobRelease, "hi", 0),
+		ev(0, trace.JobRelease, "mid", 0),
+		ev(0, trace.JobRelease, "lo", 0),
+		evc(0, trace.JobBegin, "hi", 0, 0),
+		evc(0, trace.JobBegin, "lo", 0, 1),
+		ev(10, trace.JobEnd, "hi", 0),
+		evc(10, trace.JobBegin, "mid", 0, 0),
+		ev(50, trace.JobRelease, "hi", 1),
+		evc(50, trace.JobPreempt, "mid", 0, 0),
+		evc(50, trace.JobBegin, "hi", 1, 0),
+		ev(60, trace.JobEnd, "lo", 0),
+		ev(60, trace.JobEnd, "hi", 1),
+		evc(60, trace.JobResume, "mid", 0, 0),
+		ev(80, trace.JobEnd, "mid", 0),
+	)
+	if err := legal.Err(); err != nil {
+		t.Fatalf("partitioned schedule flagged: %v", err)
+	}
+	missed := checker(t, Config{Tasks: set, CPUs: 2, Horizon: vtime.AtMillis(100), Assignment: assign})
+	feed(missed,
+		ev(0, trace.JobRelease, "hi", 0),
+		ev(0, trace.JobRelease, "mid", 0),
+		ev(0, trace.JobRelease, "lo", 0),
+		evc(0, trace.JobBegin, "hi", 0, 0),
+		evc(0, trace.JobBegin, "lo", 0, 1),
+		ev(10, trace.JobEnd, "hi", 0),
+		evc(10, trace.JobBegin, "mid", 0, 0),
+		ev(50, trace.JobRelease, "hi", 1), // mid keeps core 0
+		ev(60, trace.JobEnd, "lo", 0),
+		ev(70, trace.JobEnd, "mid", 0),
+		evc(70, trace.JobBegin, "hi", 1, 0),
+		ev(80, trace.JobEnd, "hi", 1),
+	)
+	wantRule(t, missed, "waiting-outranks-running")
 }

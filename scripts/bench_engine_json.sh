@@ -9,7 +9,10 @@
 # series, the BenchmarkEngineFastForward/horizon=H/mode=full|ff pairs
 # with their derived fastforward_speedup rows (full ns/op over ff
 # ns/op per horizon), the BenchmarkEngineOpenArrivals source-driven
-# release row, and the derived sub-linearity ratio — per-event
+# release row, the derived global_dispatch rows — per core count
+# M > 1, the best ns/event of BenchmarkEngineThroughput/cores=M over
+# the best at cores=1, the price of feeding M cores from one shared
+# ready queue — and the derived sub-linearity ratio — per-event
 # cost at the largest size over the smallest, next to the task-count
 # ratio it should stay far below. Fails when any benchmark family is
 # missing so CI notices a silently skipped run, and when any
@@ -73,6 +76,12 @@ BEGIN { printf "[\n"; sep = "" }
         printf "%s  {\"benchmark\":\"%s\",\"mode\":\"stream\",\"cores\":%s,\"ns_per_op\":%s,\"trace_events\":%s,\"events_per_sec\":%s,\"bytes_per_op\":%s,\"allocs_per_op\":%s}", \
             sep, name, cores, must("ns/op"), val("trace_events"), must("events_per_sec"), val("B/op"), val("allocs/op")
         seen["stream"] = 1
+        # Best (lowest) ns/event per core count across -count draws.
+        if (v["events_per_sec"] > 0) {
+            ns = 1e9 / v["events_per_sec"]
+            if (!(cores in corens)) { corder[++ncores] = cores; corens[cores] = ns }
+            else if (ns < corens[cores]) corens[cores] = ns
+        }
     } else {
         mode = (name ~ /Retain$/) ? "retain" : "stream"
         printf "%s  {\"benchmark\":\"%s\",\"mode\":\"%s\",\"ns_per_op\":%s,\"trace_events\":%s,\"events_per_sec\":%s,\"bytes_per_op\":%s,\"allocs_per_op\":%s}", \
@@ -107,6 +116,15 @@ END {
         } else if (require_fastforward) {
             printf "bench_engine_json: fast-forward horizon %s is missing its full/ff pair\n", h > "/dev/stderr"
             exit 1
+        }
+    }
+    if (1 in corens) {
+        for (i = 1; i <= ncores; i++) {
+            m = corder[i]
+            if (m == 1) continue
+            printf "%s  {\"benchmark\":\"global_dispatch\",\"cores\":%s,\"ns_per_event\":%.1f,\"ns_per_event_c1\":%.1f,\"ratio\":%.3f}", \
+                sep, m, corens[m], corens[1], corens[m] / corens[1]
+            sep = ",\n"
         }
     }
     if (maxns > 0 && minns > 0) {

@@ -218,6 +218,60 @@ func TestBenchEngineJSONMandatoryFields(t *testing.T) {
 	}
 }
 
+// TestBenchEngineJSONGlobalDispatch: the extractor derives one
+// global_dispatch row per core count above 1 — the best ns/event at
+// cores=M over the best at cores=1, across -count draws — with no
+// events_per_sec field, so the gate (which reads only that field)
+// never gates a derived row.
+func TestBenchEngineJSONGlobalDispatch(t *testing.T) {
+	requireTools(t, "bash", "awk")
+	dir := t.TempDir()
+	benchTxt := filepath.Join(dir, "bench.txt")
+	line := func(cores int, eps int) string {
+		return fmt.Sprintf("BenchmarkEngineThroughput/cores=%d-2 \t 20 \t 100 ns/op \t 10 trace_events \t %d events_per_sec \t 8 B/op \t 2 allocs/op\n", cores, eps)
+	}
+	txt := line(1, 8_000_000) + line(1, 10_000_000) + line(2, 4_000_000) + line(2, 5_000_000) +
+		line(8, 2_500_000) + "BenchmarkEngineThroughputRetain-2 \t 20 \t 100 ns/op \t 10 trace_events \t 9000000 events_per_sec \t 8 B/op \t 2 allocs/op\n"
+	if err := os.WriteFile(benchTxt, []byte(txt), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	outJSON := filepath.Join(dir, "BENCH_gate.json")
+	if out, err := runScript(t, []string{"REQUIRE_SCALING=0", "REQUIRE_FASTFORWARD=0", "REQUIRE_OPENARRIVALS=0"},
+		filepath.Join("scripts", "bench_engine_json.sh"), benchTxt, outJSON); err != nil {
+		t.Fatalf("extractor failed: %v\n%s", err, out)
+	}
+	raw, err := os.ReadFile(outJSON)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []struct {
+		Benchmark    string   `json:"benchmark"`
+		Cores        int      `json:"cores"`
+		NsPerEvent   float64  `json:"ns_per_event"`
+		NsPerEventC1 float64  `json:"ns_per_event_c1"`
+		Ratio        float64  `json:"ratio"`
+		EventsPerSec *float64 `json:"events_per_sec"`
+	}
+	if err := json.Unmarshal(raw, &rows); err != nil {
+		t.Fatalf("extractor output is not JSON: %v\n%s", err, raw)
+	}
+	got := map[int]string{}
+	for _, r := range rows {
+		if r.Benchmark != "global_dispatch" {
+			continue
+		}
+		if r.EventsPerSec != nil {
+			t.Errorf("global_dispatch row for %d cores carries events_per_sec, which the gate would read", r.Cores)
+		}
+		got[r.Cores] = fmt.Sprintf("%.1f/%.1f=%.3f", r.NsPerEvent, r.NsPerEventC1, r.Ratio)
+	}
+	// Best draws: 100 ns/event at cores=1, 200 at cores=2, 400 at 8.
+	want := map[int]string{2: "200.0/100.0=2.000", 8: "400.0/100.0=4.000"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("global_dispatch rows %v, want %v\n%s", got, want, raw)
+	}
+}
+
 // runABStats runs scripts/ab_stats.go on the given runs with a
 // two-metric spec: ops_per_s (higher is better), p50_ms (lower) and
 // peak_rss_mb, which no run reports.

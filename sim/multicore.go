@@ -21,7 +21,10 @@ import (
 // global dispatch can use the slack a partition strands on other
 // cores, so losing jobs to migration freedom would be an engine bug.
 // High-utilization draws usually defeat the packing and become
-// global-only points, exercising migration under pressure.
+// global-only points, exercising migration under pressure. The sweep
+// also fails if no global run migrated at all: its overloaded sets
+// must migrate, so a dispatcher that never preempts or never moves a
+// job would otherwise pass every check trivially.
 
 // MulticoreSeed and MulticoreCount parameterize the default sweep
 // (the "x13" registry entry and `make ci`).
@@ -57,15 +60,24 @@ type MulticorePoint struct {
 
 // MulticoreSweep runs the global-vs-partitioned differential over
 // seeds derived from base. Both runs of every point must be
-// oracle-clean, and on every feasible-partition point the global
-// success ratio must be at least the partitioned one; the first
-// violation aborts the sweep.
+// oracle-clean, on every feasible-partition point the global success
+// ratio must be at least the partitioned one, and some global run
+// must migrate; the first violation aborts the sweep.
 func MulticoreSweep(ctx context.Context, base uint64, n int, opt RunOptions) ([]MulticorePoint, error) {
 	seeds := runner.Seeds(base, n)
-	return runner.Map(ctx, runner.Options{Parallelism: opt.Parallelism, Progress: opt.Progress}, seeds,
+	points, err := runner.Map(ctx, runner.Options{Parallelism: opt.Parallelism, Progress: opt.Progress}, seeds,
 		func(ctx context.Context, i int, seed uint64) (MulticorePoint, error) {
 			return multicoreOne(seed)
 		})
+	if err != nil {
+		return points, err
+	}
+	for _, p := range points {
+		if p.Migrations > 0 {
+			return points, nil
+		}
+	}
+	return points, fmt.Errorf("sim: x13: no global run migrated across %d task sets — global dispatch never moved a job", len(points))
 }
 
 // multicoreOne runs one seeded task set through both dispatch modes.
