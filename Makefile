@@ -134,11 +134,13 @@ perfbench-smoke:
 		esac; \
 	done
 
-# Short native-fuzz smoke over the scenario space, the log codec, and
-# the checkpoint split/resume differential.
+# Short native-fuzz smoke over the scenario space, the log codec, the
+# analysis of decoded logs, and the checkpoint split/resume
+# differential.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzScenario -fuzztime 10s ./internal/verify/gen
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 10s ./internal/trace
+	$(GO) test -run '^$$' -fuzz FuzzAnalyze -fuzztime 10s ./internal/metrics
 	$(GO) test -run '^$$' -fuzz FuzzCheckpoint -fuzztime 10s ./internal/verify/gen
 
 ci: build vet fmt-check script-lint race perfbench-test perfbench-smoke bench-json bench-gate x11 x12 x13 x14 x15 serve-smoke

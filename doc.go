@@ -105,7 +105,14 @@
 // # Streaming collection
 //
 // A run retains, by default, every job record and every trace event —
-// memory linear in the horizon. Streaming collection
+// memory linear in the horizon, but little time: trace.Log stores
+// events in fixed 4 096-event chunks, so growth never copies a
+// recorded event, and metrics.Analyze rebuilds the jobs in one pass
+// through a per-task index, with no map entry or pointer per job. On
+// BenchmarkCollectRetain10m a retained run costs 459 bytes per job
+// against the streamed run's 12, and 1.02–2.04× its time over 13
+// same-binary pairs, above 2× in one of them (2-core container,
+// go1.24.0). Streaming collection
 // (sim.WithCollection(sim.CollectStream), the scenario "collect"
 // block, rtrun -stream, rtexp -stream) bounds memory for
 // long-horizon and soak runs: the engine recycles finished jobs,

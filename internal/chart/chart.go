@@ -70,7 +70,7 @@ func extract(l *trace.Log, tasks []string, from, to vtime.Time) map[string]*lane
 		lanes[t] = &laneData{task: t}
 	}
 	open := map[string]vtime.Time{} // task → burst start
-	for _, e := range l.Events() {
+	for e := range l.All() {
 		ln, ok := lanes[e.Task]
 		if !ok {
 			continue

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"math/rand"
 	"testing"
 
 	"repro/internal/trace"
@@ -163,25 +162,7 @@ func TestReportIsASnapshot(t *testing.T) {
 // outcomes, and checks that its transient state stays bounded by the
 // number of unterminated jobs.
 func TestAccumulatorLargeRandomStream(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	l := trace.NewLog(1 << 14)
-	tasks := []string{"a", "b", "c"}
-	for q := int64(0); q < 2000; q++ {
-		for _, task := range tasks {
-			rel := vtime.AtMillis(q * 10)
-			l.Append(trace.Event{At: rel, Kind: trace.JobRelease, Task: task, Job: q})
-			resp := vtime.Millis(1 + rng.Int63n(20))
-			switch rng.Intn(5) {
-			case 0: // stopped
-				l.Append(trace.Event{At: rel.Add(resp), Kind: trace.JobStopped, Task: task, Job: q})
-			case 1: // missed then finished
-				l.Append(trace.Event{At: rel.Add(resp / 2), Kind: trace.DeadlineMiss, Task: task, Job: q})
-				l.Append(trace.Event{At: rel.Add(resp), Kind: trace.JobEnd, Task: task, Job: q})
-			default: // clean finish
-				l.Append(trace.Event{At: rel.Add(resp), Kind: trace.JobEnd, Task: task, Job: q})
-			}
-		}
-	}
+	l := randomStream(42, 2000)
 	acc := feed(l)
 	diffSummaries(t, Analyze(l), acc.Report())
 	if acc.Live() != 0 {

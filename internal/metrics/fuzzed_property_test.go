@@ -4,9 +4,11 @@ package metrics_test
 // scenarios whose runs the invariant oracle has vetted, feeding the
 // retained trace through a fresh Accumulator reproduces Analyze's
 // report field for field. This extends PR 3's single cross-mode test
-// from one committed scenario to the open scenario space.
+// from one committed scenario to the open scenario space. Each
+// retained log is also checked against the map-based analyzeReference.
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/metrics"
@@ -16,7 +18,7 @@ import (
 )
 
 func TestAccumulatorMatchesAnalyzeOnFuzzedTraces(t *testing.T) {
-	const seeds = 20
+	const seeds = 50
 	checked := 0
 	for seed := uint64(100); seed < 100+seeds; seed++ {
 		sc := gen.Scenario(seed)
@@ -33,9 +35,12 @@ func TestAccumulatorMatchesAnalyzeOnFuzzedTraces(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: oracle rejected the run: %v", seed, err)
 		}
+		// The one-pass Analyze must first match the map-based
+		// reference on every job, summary, lookup and percentile.
+		metrics.CheckAgainstReference(t, fmt.Sprintf("seed %d", seed), res.Log)
 		want := metrics.Analyze(res.Log)
 		acc := metrics.NewAccumulator()
-		for _, e := range res.Log.Events() {
+		for e := range res.Log.All() {
 			acc.Append(e)
 		}
 		got := acc.Report()

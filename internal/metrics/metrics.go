@@ -8,6 +8,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -31,10 +32,10 @@ type JobRecord struct {
 	Stopped bool
 	// MissedDeadline is true when the deadline passed unfinished.
 	MissedDeadline bool
+	// ended marks a completion or a stop: End is set.
+	ended bool
 	// Granted is the system-allowance grant, if any.
 	Granted vtime.Duration
-
-	begun, ended bool
 }
 
 // Failed reports job failure in the paper's sense: a deadline missed
@@ -79,77 +80,165 @@ func (s TaskSummary) SuccessRatio() float64 {
 }
 
 // Report is the full analysis of a trace. Analyze builds it with
-// per-job records; Accumulator.Report builds it from streaming
-// collection, in which case Jobs is nil and percentile queries answer
-// from fixed-size quantile sketches instead of the job list.
+// per-job records, indexed per task so that Job and ResponsePercentile
+// read only the jobs asked about; Accumulator.Report builds it from
+// streaming collection, in which case Jobs is nil and percentile
+// queries answer from fixed-size quantile sketches instead of the job
+// list.
 type Report struct {
 	Jobs  []JobRecord
 	Tasks map[string]*TaskSummary
 
 	// sketches backs ResponsePercentile for streaming reports.
 	sketches map[string]*Sketch
+	// byTask indexes Jobs per task for Job and ResponsePercentile on
+	// the reports Analyze builds.
+	byTask map[string]*taskJobs
 }
 
 // Streaming reports whether this report came from streaming
 // collection: no per-job records, sketch-backed percentiles.
 func (r *Report) Streaming() bool { return r.sketches != nil }
 
-// Analyze reconstructs jobs and summaries from a trace log.
-func Analyze(l *trace.Log) *Report {
-	type key struct {
-		task string
-		q    int64
-	}
-	jobs := map[key]*JobRecord{}
-	var order []key
-	get := func(k key) *JobRecord {
-		j, ok := jobs[k]
-		if !ok {
-			j = &JobRecord{Task: k.task, Q: k.q}
-			jobs[k] = j
-			order = append(order, k)
+// taskJobs indexes one task's jobs by their job index q, and holds the
+// task's summary, which Report.Tasks points at. Positions in
+// Report.Jobs are stored plus one (int32: a log of 2^31 jobs would
+// take 100 GB), so zero marks a gap. Indices from base, the first q
+// seen, up to about twice the task's job count live in the dense
+// slice; an index below base or far beyond the jobs seen goes to the
+// sparse map, so a decoded log with a scattered or huge q (1<<40)
+// costs memory per job, never per q. A sparse job stays in the map
+// when the dense window later grows over its index, so a gap in the
+// slice is looked up in the map too.
+type taskJobs struct {
+	sum    TaskSummary
+	base   int64
+	dense  []int32
+	sparse map[int64]int32
+	jobs   int
+}
+
+// denseSlack lets a task's dense window reach this many indices past
+// twice its job count.
+const denseSlack = 64
+
+// find returns the position in Report.Jobs of job q.
+func (t *taskJobs) find(q int64) (int, bool) {
+	if d := q - t.base; d >= 0 && d < int64(len(t.dense)) {
+		if p := t.dense[d]; p != 0 {
+			return int(p) - 1, true
 		}
-		return j
 	}
-	for _, e := range l.Events() {
+	p, ok := t.sparse[q]
+	return int(p) - 1, ok
+}
+
+// add records that job q sits at position pos of Report.Jobs.
+func (t *taskJobs) add(q int64, pos int) {
+	t.jobs++
+	d := q - t.base
+	if d >= 0 && d < 2*int64(t.jobs)+denseSlack {
+		if n := d + 1 - int64(len(t.dense)); n > 0 {
+			t.dense = append(t.dense, make([]int32, n)...)
+		}
+		t.dense[d] = int32(pos + 1)
+		return
+	}
+	if t.sparse == nil {
+		t.sparse = map[int64]int32{}
+	}
+	t.sparse[q] = int32(pos + 1)
+}
+
+// positions yields the positions in Report.Jobs of the task's jobs,
+// in no particular order: ResponsePercentile sorts what it collects.
+func (t *taskJobs) positions(yield func(int) bool) {
+	for _, p := range t.dense {
+		if p != 0 && !yield(int(p)-1) {
+			return
+		}
+	}
+	for _, p := range t.sparse { // order-independent: the caller sorts
+		if !yield(int(p) - 1) {
+			return
+		}
+	}
+}
+
+// Analyze reconstructs jobs and summaries from a trace log. A cheap
+// first pass counts the releases to size Jobs; one pass over the
+// events then builds every record, with no map entry or pointer per
+// job; a sequential walk of the records fills the summaries. Jobs come
+// out in order of first appearance. A task's jobs are found through
+// its index, and the task name is looked up once per run of same-task
+// events, never per job.
+func Analyze(l *trace.Log) *Report {
+	releases := 0
+	for e := range l.All() {
+		if e.Kind == trace.JobRelease && e.Task != "" && e.Job >= 0 {
+			releases++
+		}
+	}
+	rep := &Report{Tasks: map[string]*TaskSummary{}, byTask: map[string]*taskJobs{}}
+	var (
+		task  string
+		t     *taskJobs
+		owner []*TaskSummary // owner[i] summarizes Jobs[i]'s task
+	)
+	if releases > 0 {
+		rep.Jobs = make([]JobRecord, 0, releases)
+		owner = make([]*TaskSummary, 0, releases)
+	}
+	for e := range l.All() {
 		if e.Task == "" || e.Job < 0 {
 			continue
 		}
-		k := key{e.Task, e.Job}
+		switch e.Kind {
+		case trace.JobRelease, trace.JobBegin, trace.JobEnd, trace.JobStopped,
+			trace.DeadlineMiss, trace.FaultDetected, trace.AllowanceGrant:
+		default:
+			continue
+		}
+		if t == nil || e.Task != task {
+			task = e.Task
+			if t = rep.byTask[task]; t == nil {
+				t = &taskJobs{sum: TaskSummary{Task: task}, base: e.Job}
+				rep.byTask[task] = t
+				rep.Tasks[task] = &t.sum
+			}
+		}
+		pos, ok := t.find(e.Job)
+		if !ok {
+			pos = len(rep.Jobs)
+			rep.Jobs = append(rep.Jobs, JobRecord{Task: task, Q: e.Job})
+			owner = append(owner, &t.sum)
+			t.add(e.Job, pos)
+		}
+		j := &rep.Jobs[pos]
 		switch e.Kind {
 		case trace.JobRelease:
-			j := get(k)
 			j.Release = e.At
 		case trace.JobBegin:
-			j := get(k)
 			j.Begin = e.At
-			j.begun = true
 		case trace.JobEnd:
-			j := get(k)
 			j.End = e.At
 			j.ended = true
 		case trace.JobStopped:
-			j := get(k)
 			j.End = e.At
 			j.ended = true
 			j.Stopped = true
 		case trace.DeadlineMiss:
-			get(k).MissedDeadline = true
+			j.MissedDeadline = true
 		case trace.FaultDetected:
-			get(k).Detected = true
+			j.Detected = true
 		case trace.AllowanceGrant:
-			get(k).Granted = vtime.Duration(e.Arg)
+			j.Granted = vtime.Duration(e.Arg)
 		}
 	}
-	rep := &Report{Tasks: map[string]*TaskSummary{}}
-	for _, k := range order {
-		j := jobs[k]
-		rep.Jobs = append(rep.Jobs, *j)
-		s, ok := rep.Tasks[k.task]
-		if !ok {
-			s = &TaskSummary{Task: k.task}
-			rep.Tasks[k.task] = s
-		}
+	// Summaries in one sequential walk of the records.
+	for i := range rep.Jobs {
+		j := &rep.Jobs[i]
+		s := owner[i]
 		s.Released++
 		if j.ended && !j.Stopped {
 			s.Finished++
@@ -188,9 +277,9 @@ func Analyze(l *trace.Log) *Report {
 
 // Job returns the record of one job, if present.
 func (r *Report) Job(task string, q int64) (JobRecord, bool) {
-	for _, j := range r.Jobs {
-		if j.Task == task && j.Q == q {
-			return j, true
+	if t := r.byTask[task]; t != nil {
+		if pos, ok := t.find(q); ok {
+			return r.Jobs[pos], true
 		}
 	}
 	return JobRecord{}, false
@@ -271,16 +360,20 @@ func (r *Report) ResponsePercentile(task string, p float64) (vtime.Duration, boo
 		}
 		return sk.Query(p / 100)
 	}
-	var resp []vtime.Duration
-	for _, j := range r.Jobs {
-		if j.Task == task && j.ended && !j.Failed() {
+	t := r.byTask[task]
+	if t == nil {
+		return 0, false
+	}
+	resp := make([]vtime.Duration, 0, t.jobs)
+	for pos := range t.positions {
+		if j := &r.Jobs[pos]; j.ended && !j.Failed() {
 			resp = append(resp, j.Response())
 		}
 	}
 	if len(resp) == 0 {
 		return 0, false
 	}
-	sort.Slice(resp, func(i, j int) bool { return resp[i] < resp[j] })
+	slices.Sort(resp)
 	rank := int(math.Ceil(p / 100 * float64(len(resp))))
 	if rank < 1 {
 		rank = 1

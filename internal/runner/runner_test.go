@@ -90,16 +90,28 @@ func TestSerialPathHonoursContext(t *testing.T) {
 }
 
 // TestErrorPropagation: one failing job fails the whole Map, carries
-// its input index, and cancels the jobs not yet started.
+// its input index, and cancels the jobs not yet started. Every job
+// after the failing one waits until the failure has cancelled its
+// context, so the cancellation is ordered before any of them returns:
+// only the jobs already in flight on the other workers can run, and
+// the queue is never drained by fast jobs racing the cancel.
 func TestErrorPropagation(t *testing.T) {
 	boom := errors.New("boom")
+	const failAt = 17
 	var ran atomic.Int64
 	for _, par := range []int{1, 6} {
 		ran.Store(0)
-		res, err := Map(context.Background(), Options{Parallelism: par}, make([]int, 500), func(_ context.Context, i int, _ int) (int, error) {
+		res, err := Map(context.Background(), Options{Parallelism: par}, make([]int, 500), func(ctx context.Context, i int, _ int) (int, error) {
 			ran.Add(1)
-			if i == 17 {
+			if i == failAt {
 				return 0, fmt.Errorf("point-17 exploded: %w", boom)
+			}
+			if i > failAt {
+				select {
+				case <-ctx.Done():
+				case <-time.After(10 * time.Second):
+					t.Errorf("parallelism %d: job %d started after job %d failed, and was never cancelled", par, i, failAt)
+				}
 			}
 			return i, nil
 		})
@@ -110,14 +122,16 @@ func TestErrorPropagation(t *testing.T) {
 			t.Fatalf("parallelism %d: err = %v, want wrapped boom", par, err)
 		}
 		var je *JobError
-		if !errors.As(err, &je) || je.Index != 17 {
+		if !errors.As(err, &je) || je.Index != failAt {
 			t.Fatalf("parallelism %d: want JobError{Index:17}, got %v", par, err)
 		}
 		if !containsStr(err.Error(), "job 17:") {
 			t.Fatalf("parallelism %d: message %q must name the failing index", par, err)
 		}
-		if n := ran.Load(); n >= 500 {
-			t.Fatalf("parallelism %d: all %d jobs ran despite failure", par, n)
+		// Jobs 0..17 run, and at most one later job per other worker
+		// was already in flight when the failure cancelled the rest.
+		if n, most := ran.Load(), int64(failAt+par); n > most {
+			t.Fatalf("parallelism %d: %d jobs ran despite the failure at job %d, want at most %d", par, n, failAt, most)
 		}
 	}
 }

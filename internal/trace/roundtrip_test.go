@@ -51,9 +51,10 @@ func TestDecodeRoundTripProperty(t *testing.T) {
 		if back.Len() != l.Len() {
 			t.Fatalf("seed %d: %d events decoded, want %d", seed, back.Len(), l.Len())
 		}
+		want := l.Events()
 		for i, e := range back.Events() {
-			if e != l.Events()[i] {
-				t.Fatalf("seed %d: event %d decoded as %+v, want %+v", seed, i, e, l.Events()[i])
+			if e != want[i] {
+				t.Fatalf("seed %d: event %d decoded as %+v, want %+v", seed, i, e, want[i])
 			}
 		}
 		if re := back.EncodeString(); re != enc {

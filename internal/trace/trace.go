@@ -3,15 +3,18 @@
 // end of each job, detector releases, plus the scheduling detail the
 // charts draw (starts, preemptions, resumptions, stops, deadline
 // misses). Events carry nanosecond virtual timestamps. Like the
-// paper's StringBuffer discipline, the recorder appends to a
-// preallocated in-memory buffer during the run and is encoded to a
-// log file only afterwards, so recording cannot perturb the system.
+// paper's StringBuffer discipline, the recorder appends to an
+// in-memory Log during the run and is encoded to a log file only
+// afterwards, so recording cannot perturb the system. The Log's first
+// chunk is preallocated; growth adds a chunk and never moves an event
+// already recorded, so a long run pays no copying for its length.
 package trace
 
 import (
 	"bufio"
 	"fmt"
 	"io"
+	"iter"
 	"sort"
 	"strconv"
 	"strings"
@@ -186,33 +189,93 @@ func (s *WriterSink) Flush() error {
 	return s.bw.Flush()
 }
 
+// chunkSize is the capacity of every chunk a Log adds as it grows:
+// 4 096 events, 192 KiB.
+const chunkSize = 4096
+
 // Log is an append-only sequence of events ordered by record time. It
-// implements Sink.
+// implements Sink. The events live in chunks: the first is the one
+// NewLog preallocates, and an append that finds the last chunk full
+// adds a chunk of chunkSize events, so recording never copies or
+// moves an event already recorded.
 type Log struct {
-	events []Event
+	full [][]Event // filled chunks, in record order
+	n    int       // events in full
+	tail []Event   // the chunk being filled
 }
 
-// NewLog returns a Log preallocated for n events, mirroring the
-// paper's preallocated StringBuffer fields (§5): appends during a run
-// should not allocate.
+// NewLog returns a Log whose first chunk is preallocated for n events,
+// mirroring the paper's preallocated StringBuffer fields (§5): the
+// first n appends do not allocate, and each later chunk costs one
+// allocation without moving an event already recorded.
 func NewLog(n int) *Log {
-	return &Log{events: make([]Event, 0, n)}
+	return &Log{tail: make([]Event, 0, n)}
 }
 
 // Append records an event.
-func (l *Log) Append(e Event) { l.events = append(l.events, e) }
+func (l *Log) Append(e Event) {
+	if len(l.tail) == cap(l.tail) {
+		l.grow()
+	}
+	l.tail = append(l.tail, e)
+}
 
-// Events returns the recorded events in record order. The slice is
-// the log's backing store; callers must not mutate it.
-func (l *Log) Events() []Event { return l.events }
+// grow retires the full tail chunk and starts a new one.
+func (l *Log) grow() {
+	if cap(l.tail) > 0 {
+		if l.full == nil {
+			// Room for eight chunks, so the list itself grows
+			// rarely next to the chunks it holds.
+			l.full = make([][]Event, 0, 8)
+		}
+		l.full = append(l.full, l.tail)
+		l.n += len(l.tail)
+	}
+	l.tail = make([]Event, 0, chunkSize)
+}
 
 // Len returns the number of recorded events.
-func (l *Log) Len() int { return len(l.events) }
+func (l *Log) Len() int { return l.n + len(l.tail) }
+
+// All iterates over the recorded events in record order without
+// allocating or flattening the log. It only reads the log, so
+// concurrent walks of a log no one appends to are safe.
+func (l *Log) All() iter.Seq[Event] {
+	return func(yield func(Event) bool) {
+		for _, c := range l.full {
+			for _, e := range c {
+				if !yield(e) {
+					return
+				}
+			}
+		}
+		for _, e := range l.tail {
+			if !yield(e) {
+				return
+			}
+		}
+	}
+}
+
+// Events returns the recorded events in record order as one slice,
+// which callers must not mutate. A log of one chunk returns that
+// chunk; a longer log returns a fresh copy on every call, so
+// whole-log walks should use All, which never copies.
+func (l *Log) Events() []Event {
+	if l.full == nil {
+		return l.tail
+	}
+	flat := make([]Event, 0, l.Len())
+	for _, c := range l.full {
+		flat = append(flat, c...)
+	}
+	return append(flat, l.tail...)
+}
 
 // Filter returns the events satisfying keep, preserving order.
 func (l *Log) Filter(keep func(Event) bool) []Event {
 	var out []Event
-	for _, e := range l.events {
+	for e := range l.All() {
 		if keep(e) {
 			out = append(out, e)
 		}
@@ -233,7 +296,7 @@ func (l *Log) Window(from, to vtime.Time) []Event {
 // Tasks returns the sorted set of task names appearing in the log.
 func (l *Log) Tasks() []string {
 	seen := map[string]bool{}
-	for _, e := range l.events {
+	for e := range l.All() {
 		if e.Task != "" {
 			seen[e.Task] = true
 		}
@@ -250,7 +313,7 @@ func (l *Log) Tasks() []string {
 // one event per line, "t=<ns> <kind> <task> <job> [arg=<int>]".
 func (l *Log) Encode(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	for _, e := range l.events {
+	for e := range l.All() {
 		if err := writeEvent(bw, e); err != nil {
 			return err
 		}

@@ -98,7 +98,7 @@ func multicoreOne(seed uint64) (MulticorePoint, error) {
 		return point, fmt.Errorf("seed %#x (global, %d cpus): %w", seed, sc.CPUs, err)
 	}
 	point.GlobalRatio = resG.SuccessRatio()
-	for _, e := range resG.Log.Events() {
+	for e := range resG.Log.All() {
 		if e.Kind == trace.JobMigrate {
 			point.Migrations++
 		}
