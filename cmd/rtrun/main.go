@@ -52,9 +52,9 @@
 // the remaining whole cycles analytically — a 10-hour horizon costs
 // milliseconds once the transient settles. Counts and summaries stay
 // exact; percentiles keep the streaming sketch's rank-error bound. It
-// needs streaming collection and treatment none (no faults, servers
-// or stop jitter) and conflicts with -check, -trace-out and
-// -checkpoint, which all need the full event stream. The scenario
+// needs streaming collection, and -check, -trace-out and -checkpoint,
+// which all need the full event stream, conflict with it (exit 2);
+// scenario.Features states every rule and its reason. The scenario
 // file equivalent is "fast_forward": true:
 //
 //	rtrun -tasks system.tasks -horizon 36000000 -stream -fast-forward
@@ -71,7 +71,7 @@
 // possibly in another process or on another host. The concatenation
 // of the two -trace-out spills is byte-identical to the unsplit run's
 // trace, and the resumed summary covers the whole run. Checkpoints
-// need streaming collection with treatment none and no servers:
+// need streaming collection (scenario.Features states the rest):
 //
 //	rtrun -scenario long.json -checkpoint half.ckpt -checkpoint-at 1800000
 //	rtrun -resume half.ckpt
@@ -88,6 +88,7 @@ import (
 
 	"repro/internal/vtime"
 	"repro/sim"
+	"repro/sim/scenario"
 )
 
 func main() {
@@ -224,27 +225,30 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 	if *fastFwd {
-		// Every consumer of the full event stream conflicts with the
-		// analytic jump: extrapolated cycles produce no events for the
-		// oracle, spill or snapshot to see.
-		conflict, why := "", ""
-		switch {
-		case *check:
-			conflict, why = "-check", "the oracle needs the full event stream"
-		case *traceOut != "":
-			conflict, why = "-trace-out", "extrapolated cycles produce no events to spill"
-		case *ckptPath != "":
-			conflict, why = "-checkpoint", "the jump skips the boundary instants a snapshot would capture"
-		}
-		if conflict != "" {
-			fmt.Fprintf(stderr, "rtrun: -fast-forward conflicts with %s (%s)\n", conflict, why)
-			return 2
-		}
-		// Composes with both front doors like -check; the eligibility
-		// grammar (streaming collection, treatment none, no faults)
-		// re-validates here.
+		// Composes with both front doors like -check, re-validating the
+		// scenario with fast_forward set.
 		if err := sys.SetFastForward(true); err != nil {
 			return fail(err)
+		}
+		// The scenario is eligible, so a flag whose feature the
+		// capability table refuses alongside fast_forward is the
+		// conflict, and the table says why.
+		sc := sys.Scenario()
+		verified := sc
+		verified.Verify = true
+		for _, c := range []struct {
+			flag string
+			set  bool
+			use  scenario.Features
+		}{
+			{"-check", *check, scenario.Features{Scenario: &verified}},
+			{"-trace-out", *traceOut != "", scenario.Features{Scenario: &sc, Spill: true}},
+			{"-checkpoint", *ckptPath != "", scenario.Features{Scenario: &sc, Checkpoint: true}},
+		} {
+			if err := c.use.Check(); c.set && err != nil {
+				fmt.Fprintf(stderr, "rtrun: -fast-forward conflicts with %s: %v\n", c.flag, err)
+				return 2
+			}
 		}
 	}
 	if *check {

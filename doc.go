@@ -288,8 +288,11 @@
 // horizon (BenchmarkEngineFastForward, with derived
 // fastforward_speedup rows in BENCH_engine.json). Eligibility is
 // strict because the jump is exact only under deterministic periodic
-// recurrence — streaming collection, treatment "none", no faults,
-// jitter, servers, oracle, trace spill or checkpoints — and the x14
+// recurrence with no observer of the skipped events; the capability
+// table (scenario.Features, sim/scenario/capability.go) states each
+// rule once, and validation, Run, RunToCheckpoint and Resume ask it
+// before the engine starts. Watching progress is not a feature, so a
+// fast-forwarded run may be observed (rtserved's SSE stream). The x14
 // registry entry (rtexp -exp x14, run by make ci) pins the
 // differential: 48 seeded eligible scenarios run full (oracle armed,
 // retained) and fast-forwarded, with exact agreement required on

@@ -73,15 +73,17 @@ type Config struct {
 	// TraceSink, when non-nil, receives every trace event as it is
 	// recorded: alongside the log under Retain, instead of it under
 	// Stream (spill-to-disk via trace.NewWriterSink; the caller
-	// flushes after Run).
+	// flushes after Run). Under FastForward it sees no events for the
+	// extrapolated cycles.
 	TraceSink trace.Sink
 	// FastForward enables the engine's steady-state cycle detection:
 	// once two consecutive hyperperiod boundaries fingerprint equal,
 	// the remaining whole cycles are extrapolated analytically and only
-	// the tail is simulated (engine/fastforward.go). Besides the
-	// engine's own rules (Stream collection, no faults, no stop
-	// jitter), it requires NoDetection treatment and excludes TraceSink
-	// and Oracle — both would observe the event hole the jump leaves.
+	// the tail is simulated (engine/fastforward.go). engine.New refuses
+	// what the jump cannot serve; the TraceSink and the Oracle see no
+	// events for the extrapolated cycles. Which features combine with
+	// it is stated once, in the scenario capability table
+	// (sim/scenario.Features), which package sim asks before a run.
 	FastForward bool
 	// Oracle, when non-nil, is the online invariant oracle (package
 	// verify): every trace event is checked against the scheduling
@@ -139,11 +141,6 @@ func NewSystem(cfg Config) (*System, error) {
 		cfg.Treatment != detect.NoDetection {
 		return nil, fmt.Errorf("core: policy %q cannot combine with treatment %v: detectors presuppose fixed-priority analysis", cfg.Policy.Name(), cfg.Treatment)
 	}
-	if cfg.FastForward {
-		if err := fastForwardable(cfg); err != nil {
-			return nil, err
-		}
-	}
 	if cfg.SkipAdmission || cfg.CPUs > 1 {
 		if cfg.Treatment != detect.NoDetection {
 			return nil, fmt.Errorf("core: treatment %v requires admission control (detectors arm on the admitted WCRTs)", cfg.Treatment)
@@ -165,25 +162,6 @@ func NewSystem(cfg Config) (*System, error) {
 		return nil, err
 	}
 	return &System{cfg: cfg, sup: sup, adm: adm}, nil
-}
-
-// fastForwardable rejects what the steady-state fast-forward cannot
-// serve beyond the engine's own checks (Stream collection, faults,
-// stop jitter, sources): detector treatments hold re-arming timers
-// that poison every hyperperiod boundary, and TraceSink / Oracle
-// observe the event stream directly — the extrapolated cycles emit no
-// events, so either would see a hole.
-func fastForwardable(cfg Config) error {
-	if cfg.Treatment != detect.NoDetection {
-		return fmt.Errorf("core: fast-forward requires treatment %v (detector timers re-arm every period, suppressing cycle detection), have %v", detect.NoDetection, cfg.Treatment)
-	}
-	if cfg.TraceSink != nil {
-		return fmt.Errorf("core: fast-forward cannot combine with a trace sink (extrapolated cycles emit no events)")
-	}
-	if cfg.Oracle != nil {
-		return fmt.Errorf("core: fast-forward cannot combine with the online oracle (extrapolated cycles emit no events to check)")
-	}
-	return nil
 }
 
 // Admission returns the pre-run feasibility report (nil when

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/verify/gen"
 	"repro/internal/vtime"
 	"repro/sim"
 	"repro/sim/scenario"
@@ -628,5 +629,78 @@ func TestVerifyConfig(t *testing.T) {
 	rec := post(t, s, "/v1/simulate", testScenarioJSON(t, "verified", 6))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("verified run: status %d: %s", rec.Code, rec.Body.String())
+	}
+}
+
+// TestFastForwardServed pins that a fast_forward document is served:
+// plain and under SSE it answers 200 with the report a direct sim run
+// prints, though every served run observes its progress. Under
+// Config.Verify the same document is refused with a 422 that names
+// both features, and the refusal is not cached.
+func TestFastForwardServed(t *testing.T) {
+	sc := gen.FastForwardable(7)
+	body, err := scenario.Marshal(&sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := sim.FromScenario(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := sys.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if direct.SkippedCycles == 0 {
+		t.Fatal("the document never engaged the fast-forward jump")
+	}
+	want := direct.Summary()
+
+	plain := New(Config{Workers: 1})
+	defer plain.Close()
+	rec := post(t, plain, "/v1/simulate?format=report", body)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("plain POST: status %d: %s", rec.Code, rec.Body.String())
+	}
+	if got := rec.Body.String(); got != want {
+		t.Errorf("served report differs from the direct run:\n%s\nvs\n%s", got, want)
+	}
+
+	sse := New(Config{Workers: 1})
+	defer sse.Close()
+	rec = post(t, sse, "/v1/simulate?stream=sse", body)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("SSE POST: status %d: %s", rec.Code, rec.Body.String())
+	}
+	var last string
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, "event: "); ok {
+			last = v
+		}
+	}
+	if last != "result" {
+		t.Fatalf("SSE stream ends in %q, want result: %s", last, rec.Body.String())
+	}
+	var env envelope
+	if err := json.Unmarshal([]byte(parseSSE(t, rec.Body.String())["result"][0]), &env); err != nil {
+		t.Fatal(err)
+	}
+	if env.Report != want {
+		t.Errorf("SSE report differs from the direct run:\n%s\nvs\n%s", env.Report, want)
+	}
+
+	verified := New(Config{Workers: 1, Verify: true})
+	defer verified.Close()
+	for i := 0; i < 2; i++ {
+		rec := post(t, verified, "/v1/simulate", body)
+		if rec.Code != http.StatusUnprocessableEntity {
+			t.Fatalf("request %d under Verify: status %d, want 422: %s", i, rec.Code, rec.Body.String())
+		}
+		if msg := rec.Body.String(); !strings.Contains(msg, "fast_forward") || !strings.Contains(msg, "verify") {
+			t.Errorf("request %d under Verify: %s does not name fast_forward and verify", i, msg)
+		}
+	}
+	if m := verified.Metrics(); m.CacheHits != 0 || m.SimulationsRun != 2 {
+		t.Errorf("a refused run was answered from the cache: %d hits, %d runs for 2 requests", m.CacheHits, m.SimulationsRun)
 	}
 }

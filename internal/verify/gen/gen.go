@@ -13,6 +13,7 @@
 package gen
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/analysis"
@@ -185,7 +186,8 @@ func Scenario(seed uint64) scenario.Scenario {
 // streaming collection, and a policy without closure-bearing timers
 // (d-over's latest-start-time watchdog remaps to edf; the remap
 // preserves the rest of the seed's draw, so a failing seed reproduces
-// here the same way it does under Scenario). It feeds the
+// here the same way it does under Scenario). Its self-check asks the
+// capability table with the checkpoint feature set. It feeds the
 // checkpoint/resume differential tests and FuzzCheckpoint.
 func Checkpointable(seed uint64) scenario.Scenario {
 	sc := Scenario(seed)
@@ -199,7 +201,7 @@ func Checkpointable(seed uint64) scenario.Scenario {
 	if sc.Policy == "d-over" {
 		sc.Policy = "edf"
 	}
-	if err := sc.Validate(); err != nil {
+	if err := errors.Join(sc.Validate(), scenario.Features{Scenario: &sc, Checkpoint: true}.Check()); err != nil {
 		panic(fmt.Sprintf("gen: seed %#x produced an invalid checkpointable scenario: %v", seed, err)) // generator bug
 	}
 	return sc

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"repro/internal/vtime"
 	"repro/sim/scenario"
@@ -184,15 +185,16 @@ func ReproducerPath() string {
 	}
 }
 
-// LegalCollectModes lists the collection modes a scenario can legally
-// run in: retained always, streaming only without servers (their
-// service analysis reads the retained log) — the single rule behind
-// the x11 sweep and the FuzzScenario harness.
+// LegalCollectModes lists the collection modes, retained first, in
+// which the capability table (scenario.Features) accepts the scenario:
+// the modes the x11 sweep and the FuzzScenario harness run it in.
 func LegalCollectModes(sc *scenario.Scenario) []string {
-	if len(sc.Servers) > 0 {
-		return []string{scenario.CollectRetain}
-	}
-	return []string{scenario.CollectRetain, scenario.CollectStream}
+	modes := []string{scenario.CollectRetain, scenario.CollectStream}
+	return slices.DeleteFunc(modes, func(mode string) bool {
+		cand := *sc
+		cand.Collect = &scenario.Collect{Mode: mode}
+		return scenario.Features{Scenario: &cand}.Check() != nil
+	})
 }
 
 // WriteReproducer persists the (typically shrunk) failing scenario as

@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 
-	"repro/internal/detect"
 	"repro/internal/engine"
 	"repro/internal/metrics"
 )
@@ -23,9 +22,9 @@ const CheckpointVersion = 1
 // report to the unsplit run, which is what lets a long-horizon sweep
 // migrate across processes or hosts.
 //
-// Checkpoints cover streaming-collection scenarios with treatment
-// none, no servers, and no online oracle — the restrictions that keep
-// every piece of runtime state plain data (see engine.Checkpoint).
+// Checkpoints cover the scenarios whose runtime state is all plain
+// data (see engine.Checkpoint); scenario.Features states which
+// features combine with a checkpoint.
 type Checkpoint struct {
 	Version  int                       `json:"version"`
 	At       Duration                  `json:"at"`
@@ -87,44 +86,15 @@ func DecodeCheckpointFile(path string) (*Checkpoint, error) {
 	return cp, nil
 }
 
-// checkpointable rejects scenarios whose runtime state cannot be
-// serialized, before any simulation work (the engine's Snapshot and
-// Restore only guard dynamically, after it): detector treatments and
-// polling servers hold closure-bearing timers, d-over arms a
-// latest-start-time watchdog, retained runs carry the full log, and
-// the online oracle's verdict is only meaningful over a whole trace
-// (replay the concatenated spill through rtrun -check or
-// verify.ForScenario instead).
-func (s *System) checkpointable() error {
-	tr, err := ParseTreatment(s.sc.Treatment)
-	if err != nil {
-		return err
-	}
-	switch {
-	case tr != detect.NoDetection:
-		return fmt.Errorf("sim: checkpointing requires treatment none, have %q", s.sc.Treatment)
-	case len(s.sc.Servers) > 0:
-		return fmt.Errorf("sim: checkpointing cannot combine with polling servers (their timers are not serializable)")
-	case s.sc.Policy == "d-over":
-		return fmt.Errorf("sim: policy d-over is not checkpointable (its latest-start-time watchdog holds timers)")
-	case !s.sc.Streaming():
-		return fmt.Errorf("sim: checkpointing requires streaming collection (\"collect\": {\"mode\": %q})", CollectStream)
-	case s.sc.Verify:
-		return fmt.Errorf("sim: checkpointing cannot combine with the online oracle; replay the concatenated trace instead")
-	case s.sc.FastForward:
-		return fmt.Errorf("sim: checkpointing cannot combine with fast-forward (the analytic jump skips the boundary instants a snapshot would capture)")
-	}
-	return nil
-}
-
 // RunToCheckpoint simulates the scenario up to instant at (every event
 // with a timestamp ≤ at fires), snapshots, and returns the
 // self-contained checkpoint. The partial trace reaches the SpillTrace
 // writer; Resume on the checkpoint completes the run so that the
 // concatenation of the two spills is byte-identical to an unsplit
-// run's trace and the final report is equal.
+// run's trace and the final report is equal. The run's features,
+// checkpoint included, are checked before any simulation work.
 func (s *System) RunToCheckpoint(at Duration) (*Checkpoint, error) {
-	if err := s.checkpointable(); err != nil {
+	if err := s.features(true).Check(); err != nil {
 		return nil, err
 	}
 	if at < 0 || at > s.sc.Horizon {
@@ -159,7 +129,7 @@ func Resume(cp *Checkpoint) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := sys.checkpointable(); err != nil {
+	if err := sys.features(true).Check(); err != nil {
 		return nil, err
 	}
 	sys.resume = cp

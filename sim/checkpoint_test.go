@@ -8,6 +8,7 @@ import (
 	"repro/internal/trace"
 	"repro/internal/verify"
 	"repro/internal/verify/gen"
+	"repro/sim/scenario"
 )
 
 // splitRun runs the scenario split at instant at — first segment to a
@@ -136,7 +137,8 @@ func TestCheckpointResumeDifferential(t *testing.T) {
 
 // TestCheckpointRejects pins the refusal conditions: non-streaming
 // collection, detector treatments, servers, d-over, the online
-// oracle, and out-of-horizon instants all fail loudly.
+// oracle, task-targeted arrivals and out-of-horizon instants all fail
+// loudly.
 func TestCheckpointRejects(t *testing.T) {
 	base := gen.Checkpointable(1)
 	cases := []struct {
@@ -152,6 +154,20 @@ func TestCheckpointRejects(t *testing.T) {
 			sc.SkipAdmission = false
 		}, "treatment"},
 		{"d-over", func(sc *Scenario) { sc.Policy = "d-over" }, "d-over"},
+		{"servers", func(sc *Scenario) {
+			sc.Collect = nil
+			sc.CPUs, sc.Placement, sc.Partitioner = 0, "", ""
+			sc.SkipAdmission = true
+			sc.Servers = []Server{{
+				Task:     Task{Name: "srv", Priority: 100, Period: Millis(40), Deadline: Millis(40), Cost: Millis(2)},
+				Requests: []Request{{ID: "r1", Arrival: Millis(5), Cost: Millis(1)}},
+			}}
+		}, "servers"},
+		{"task arrival", func(sc *Scenario) {
+			sc.CPUs, sc.Placement, sc.Partitioner = 0, "", ""
+			sc.SkipAdmission = true
+			sc.Arrivals = []Arrival{{Task: sc.Tasks[0].Name, Kind: ArrivalPoisson, Mean: Millis(10)}}
+		}, "arrivals"},
 	}
 	for _, tc := range cases {
 		sc := base
@@ -243,11 +259,10 @@ func TestCheckpointableGenerator(t *testing.T) {
 		if sc.Treatment != "none" || len(sc.Servers) != 0 || sc.Policy == "d-over" || !sc.Streaming() {
 			t.Fatalf("seed %d: non-checkpointable scenario %+v", seed, sc)
 		}
-		sys, err := FromScenario(sc)
-		if err != nil {
+		if _, err := FromScenario(sc); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if err := sys.checkpointable(); err != nil {
+		if err := (scenario.Features{Scenario: &sc, Checkpoint: true}).Check(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}

@@ -104,9 +104,6 @@ func differentialOne(seed uint64) (DifferentialPoint, error) {
 	if len(modes) == 2 {
 		if diff := reportDivergence(reports[scenario.CollectRetain], reports[scenario.CollectStream]); diff != "" {
 			repro := gen.Reproduce(gen.ReproducerPath(), sc, func(cand scenario.Scenario) bool {
-				if len(cand.Servers) > 0 {
-					return false
-				}
 				r, errR := runDifferentialMode(cand, scenario.CollectRetain)
 				s, errS := runDifferentialMode(cand, scenario.CollectStream)
 				return errR == nil && errS == nil && reportDivergence(r, s) != ""

@@ -46,10 +46,11 @@ func FromTraceRecord(r taskset.TraceRecord) TraceRecord {
 
 // Arrival declares one arrival source. Exactly one of Task / Server
 // names the target: a task-targeted source replaces that periodic
-// task's release law (open arrivals — requires skip_admission, since
-// stochastic releases have no periodic admission analysis), while a server-targeted source feeds a polling
-// server's aperiodic request stream (the server task itself stays
-// periodic and admission-analysable). Kind selects the source; as
+// task's release law (open arrivals, which have no periodic admission
+// analysis; see Features for what they combine with), while a
+// server-targeted source feeds a polling server's aperiodic request
+// stream (the server task itself stays periodic and
+// admission-analysable). Kind selects the source; as
 // with faults, a field the kind/target combination does not read must
 // stay zero, so a mis-specified source fails loudly instead of
 // silently running a different workload.
@@ -77,9 +78,9 @@ type Arrival struct {
 
 // validateArrivals checks the arrivals block structurally: known
 // kinds, exactly-one target that exists, at most one source per
-// target, per-kind field relevance, and the platform restrictions
-// (task sources skip admission control, server sources need a server
-// with no static request schedule).
+// target, per-kind field relevance, and a server source's target
+// declaring no static request schedule. That a task source needs
+// skip_admission is the capability table's rule (Features).
 func (sc *Scenario) validateArrivals() error {
 	if len(sc.Arrivals) == 0 {
 		return nil
@@ -92,9 +93,6 @@ func (sc *Scenario) validateArrivals() error {
 		}
 		switch {
 		case a.Task != "":
-			if !sc.SkipAdmission {
-				return fmt.Errorf("scenario: arrival %d: task-targeted sources require skip_admission (open arrivals have no periodic admission analysis)", i)
-			}
 			found := false
 			for _, t := range sc.Tasks {
 				if t.Name == a.Task {

@@ -232,11 +232,11 @@ type Scenario struct {
 	// "edf", "best-effort", "red", "d-over"; empty = fixed-priority).
 	Policy string `json:"policy,omitempty"`
 	// CPUs is the number of identical processors (0 or 1 = the
-	// paper's uniprocessor platform). Multiprocessor runs support
-	// only treatment none, no servers, and the fixed-priority/edf
-	// policies, and bypass the uniprocessor admission control —
-	// global dispatch runs unconditionally; partitioned placement is
-	// admitted per core by the bin packing itself.
+	// paper's uniprocessor platform). Multiprocessor runs bypass the
+	// uniprocessor admission control: global dispatch runs
+	// unconditionally, and partitioned placement is admitted per core
+	// by the bin packing itself. Features states what cpus > 1
+	// combines with.
 	CPUs int `json:"cpus,omitempty"`
 	// Placement selects the multiprocessor dispatch mode ("global" or
 	// "partitioned"; empty = global). Only valid with cpus > 1.
@@ -254,8 +254,8 @@ type Scenario struct {
 	Servers []Server `json:"servers,omitempty"`
 	// Arrivals declares arrival sources (open stochastic arrivals or
 	// trace replay) targeting either periodic tasks (replacing their
-	// release law; requires skip_admission) or polling servers
-	// (feeding their request stream). See Arrival.
+	// release law) or polling servers (feeding their request stream).
+	// See Arrival.
 	Arrivals []Arrival `json:"arrivals,omitempty"`
 	// Horizon is the simulated duration (required, positive).
 	Horizon Duration `json:"horizon"`
@@ -271,21 +271,19 @@ type Scenario struct {
 	// Seed drives the run's randomness: the §4.1 stop jitter, and
 	// any jitter fault that does not carry its own seed.
 	Seed uint64 `json:"seed,omitempty"`
-	// SkipAdmission runs without the paper's admission control —
-	// required for overload scenarios that are deliberately
-	// infeasible. Only valid with Treatment none.
+	// SkipAdmission runs without the paper's admission control, for
+	// overload scenarios that are deliberately infeasible. Features
+	// states what it combines with.
 	SkipAdmission bool `json:"skip_admission,omitempty"`
 	// Collect selects run-data retention (nil = retain everything).
-	// Streaming collection cannot combine with servers: the aperiodic
-	// service analysis reads the retained log.
+	// Features states what streaming collection combines with.
 	Collect *Collect `json:"collect,omitempty"`
 	// FastForward enables steady-state cycle detection: the engine
 	// fingerprints each hyperperiod boundary and extrapolates the
 	// remaining whole cycles once two consecutive boundaries match,
-	// simulating only the transient and the tail. Requires streaming
-	// collection and treatment none, and excludes faults, servers,
-	// stop jitter, verify and non-order-only policies — everything
-	// that breaks periodicity or observes the skipped events.
+	// simulating only the transient and the tail. Features states
+	// what it combines with: only what keeps the cycles periodic and
+	// observes no skipped event.
 	FastForward bool `json:"fast_forward,omitempty"`
 	// Verify enables the online invariant oracle: every trace event
 	// is checked against the scheduling axioms as it is recorded and
@@ -302,7 +300,10 @@ func (sc *Scenario) Streaming() bool {
 
 // Validate checks the scenario structurally: task-set invariants
 // (including server tasks), known policy and treatment names, fault
-// entries referencing declared tasks, and a positive horizon.
+// entries referencing declared tasks, a positive horizon, and the
+// grammar of the multicore, arrival and collect blocks. It then asks
+// the capability table (Features) whether the declared features
+// combine.
 func (sc *Scenario) Validate() error {
 	if _, err := sc.TaskSet(); err != nil {
 		return err
@@ -315,17 +316,6 @@ func (sc *Scenario) Validate() error {
 	}
 	if sc.Horizon <= 0 {
 		return fmt.Errorf("scenario: horizon must be positive, got %v", sc.Horizon)
-	}
-	if !treatmentIsNone(sc.Treatment) {
-		if sc.SkipAdmission {
-			return fmt.Errorf("scenario: skip_admission requires treatment none, got %q", sc.Treatment)
-		}
-		// Mirrors core.NewSystem's rule so Load/FromScenario reject
-		// what Run would: detectors presuppose fixed-priority
-		// response-time analysis.
-		if sc.Policy != "" && sc.Policy != "fixed-priority" {
-			return fmt.Errorf("scenario: policy %q cannot combine with treatment %q: detectors presuppose fixed-priority analysis", sc.Policy, sc.Treatment)
-		}
 	}
 	if err := sc.validateMulticore(); err != nil {
 		return err
@@ -341,76 +331,24 @@ func (sc *Scenario) Validate() error {
 	if err := sc.validateArrivals(); err != nil {
 		return err
 	}
-	if sc.Collect != nil {
-		switch sc.Collect.Mode {
-		case CollectRetain, CollectStream:
-		default:
-			return fmt.Errorf("scenario: unknown collect mode %q (want %q|%q)",
-				sc.Collect.Mode, CollectRetain, CollectStream)
-		}
-		if sc.Streaming() && len(sc.Servers) > 0 {
-			return fmt.Errorf("scenario: collect mode %q cannot combine with servers: aperiodic service analysis needs the retained log", CollectStream)
-		}
+	if sc.Collect != nil && sc.Collect.Mode != CollectRetain && sc.Collect.Mode != CollectStream {
+		return fmt.Errorf("scenario: unknown collect mode %q (want %q|%q)",
+			sc.Collect.Mode, CollectRetain, CollectStream)
 	}
-	if err := sc.validateFastForward(); err != nil {
-		return err
-	}
-	return nil
+	return Features{Scenario: sc}.Check()
 }
 
-// validateFastForward pins the fast_forward eligibility grammar: the
-// flag may only combine with configurations whose hyperperiod cycles
-// provably repeat and whose observers tolerate the analytic jump.
-func (sc *Scenario) validateFastForward() error {
-	if !sc.FastForward {
-		return nil
-	}
-	if !sc.Streaming() {
-		return fmt.Errorf("scenario: fast_forward requires collect mode %q", CollectStream)
-	}
-	if !treatmentIsNone(sc.Treatment) {
-		return fmt.Errorf("scenario: fast_forward requires treatment none (detector timers re-arm every period), got %q", sc.Treatment)
-	}
-	if len(sc.Faults) > 0 {
-		return fmt.Errorf("scenario: fast_forward cannot combine with faults (fault arrivals break hyperperiod periodicity)")
-	}
-	if len(sc.Servers) > 0 {
-		return fmt.Errorf("scenario: fast_forward cannot combine with servers (aperiodic arrivals break hyperperiod periodicity)")
-	}
-	if len(sc.Arrivals) > 0 {
-		return fmt.Errorf("scenario: fast_forward cannot combine with arrivals (source-driven releases have no hyperperiod)")
-	}
-	if sc.StopJitterMax > 0 {
-		return fmt.Errorf("scenario: fast_forward cannot combine with stop_jitter_max (random draws break hyperperiod periodicity)")
-	}
-	if sc.Verify {
-		return fmt.Errorf("scenario: fast_forward cannot combine with verify (extrapolated cycles emit no events to check)")
-	}
-	switch sc.Policy {
-	case "", "fixed-priority", "edf":
-	default:
-		return fmt.Errorf("scenario: fast_forward requires an order-only policy (fixed-priority or edf), got %q — stateful overload policies are not covered by the cycle fingerprint", sc.Policy)
-	}
-	return nil
-}
-
-// validateMulticore checks the cpus/placement/partitioner axis: the
-// codec's set-but-ignored strictness (placement without cpus, a
-// partitioner without partitioned placement, skip_admission on a
-// platform that has no admission control) plus the multiprocessor
-// feature restrictions.
+// validateMulticore checks the cpus/placement/partitioner grammar:
+// the codec's set-but-ignored strictness (placement without cpus, a
+// partitioner without partitioned placement) and the feasibility of a
+// partitioned placement. Which features combine with cpus > 1 is
+// stated in the capability table (Features).
 func (sc *Scenario) validateMulticore() error {
 	if sc.CPUs < 0 {
 		return fmt.Errorf("scenario: cpus must be non-negative, got %d", sc.CPUs)
 	}
-	if sc.CPUs <= 1 {
-		if sc.Placement != "" {
-			return fmt.Errorf("scenario: placement %q requires cpus > 1", sc.Placement)
-		}
-		if sc.Partitioner != "" {
-			return fmt.Errorf("scenario: partitioner %q requires placement %q", sc.Partitioner, PlacementPartitioned)
-		}
-		return nil
+	if sc.CPUs <= 1 && sc.Placement != "" {
+		return fmt.Errorf("scenario: placement %q requires cpus > 1", sc.Placement)
 	}
 	switch sc.Placement {
 	case "", PlacementGlobal:
@@ -423,27 +361,10 @@ func (sc *Scenario) validateMulticore() error {
 		default:
 			return fmt.Errorf("scenario: unknown partitioner %q (want %q|%q)", sc.Partitioner, PartitionFirstFit, PartitionBestFit)
 		}
+		_, err := sc.Partition()
+		return err
 	default:
 		return fmt.Errorf("scenario: unknown placement %q (want %q|%q)", sc.Placement, PlacementGlobal, PlacementPartitioned)
-	}
-	if !treatmentIsNone(sc.Treatment) {
-		return fmt.Errorf("scenario: treatment %q requires the uniprocessor platform (cpus > 1 supports treatment none only)", sc.Treatment)
-	}
-	if len(sc.Servers) > 0 {
-		return fmt.Errorf("scenario: servers require the uniprocessor platform")
-	}
-	switch sc.Policy {
-	case "", "fixed-priority", "edf":
-	default:
-		return fmt.Errorf("scenario: policy %q is uniprocessor-only (cpus > 1 supports fixed-priority and edf)", sc.Policy)
-	}
-	if sc.SkipAdmission {
-		return fmt.Errorf("scenario: skip_admission is uniprocessor-only (cpus > 1 already bypasses admission control)")
-	}
-	if sc.Partitioned() {
-		if _, err := sc.Partition(); err != nil {
-			return err
-		}
 	}
 	return nil
 }
@@ -523,11 +444,6 @@ func (sc *Scenario) FaultPlan() (fault.Plan, error) {
 		}
 	}
 	return plan, nil
-}
-
-func treatmentIsNone(name string) bool {
-	tr, err := detect.ParseTreatment(name)
-	return err == nil && tr == detect.NoDetection
 }
 
 func (sc *Scenario) taskByName(name string) *Task {

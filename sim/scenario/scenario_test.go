@@ -148,12 +148,31 @@ func TestValidate(t *testing.T) {
 		"bad server": func(sc *Scenario) {
 			sc.Servers = []Server{{Task: Task{Name: "srv"}}}
 		},
+		"stream+server": func(sc *Scenario) {
+			sc.Collect = &Collect{Mode: CollectStream}
+			sc.Servers = []Server{validServer()}
+		},
+		"cpus+treatment": func(sc *Scenario) { sc.CPUs = 2; sc.Treatment = "stop" },
+		"cpus+server":    func(sc *Scenario) { sc.CPUs = 2; sc.Servers = []Server{validServer()} },
+		"cpus+policy":    func(sc *Scenario) { sc.CPUs = 2; sc.Policy = "best-effort" },
+		"cpus+skip":      func(sc *Scenario) { sc.CPUs = 2; sc.SkipAdmission = true },
+		"task arrival without skip": func(sc *Scenario) {
+			sc.Arrivals = []Arrival{{Task: "tau1", Kind: ArrivalPoisson, Mean: ms(10)}}
+		},
 	} {
 		sc := validScenario()
 		mutate(&sc)
 		if err := sc.Validate(); err == nil {
 			t.Errorf("%s: validation must fail", name)
 		}
+	}
+}
+
+// validServer is a polling server that keeps validScenario feasible.
+func validServer() Server {
+	return Server{
+		Task:     Task{Name: "srv", Priority: 3, Period: ms(40), Deadline: ms(40), Cost: ms(2)},
+		Requests: []Request{{ID: "r1", Arrival: ms(5), Cost: ms(1)}},
 	}
 }
 

@@ -272,9 +272,8 @@ func WithVerify() Option {
 // whole cycles analytically instead of simulating them — long horizons
 // cost O(transient + one cycle + tail). Counts and summaries are
 // exact; streamed percentiles keep the sketch's rank-error guarantee.
-// Requires streaming collection and treatment none; faults, servers,
-// stop jitter, the online oracle and trace spilling are incompatible
-// (validation and Run reject the combinations). The scenario JSON
+// scenario.Features states what it combines with; validation and Run
+// refuse the rest before the engine starts. The scenario JSON
 // equivalent is "fast_forward": true.
 func WithFastForward() Option {
 	return func(sc *Scenario) error { sc.FastForward = true; return nil }

@@ -16,6 +16,7 @@ import (
 	"repro/internal/trace"
 	"repro/internal/verify"
 	"repro/internal/vtime"
+	"repro/sim/scenario"
 )
 
 // System is a validated, not-yet-run simulation. Build with New,
@@ -48,9 +49,9 @@ func (s *System) SetVerify(on bool) { s.sc.Verify = on }
 // SetFastForward arms hyperperiod fast-forward on an already-built
 // system (the post-load equivalent of WithFastForward or the
 // scenario's "fast_forward": true — how cmd/rtrun -fast-forward arms
-// it on a loaded file). Unlike SetVerify it can fail: the scenario
-// must satisfy the fast_forward eligibility grammar (streaming
-// collection, treatment none, no faults, servers or stop jitter).
+// it on a loaded file). Unlike SetVerify it re-validates, so it fails
+// when the scenario's features do not combine with fast_forward (see
+// scenario.Features).
 func (s *System) SetFastForward(on bool) error {
 	s.sc.FastForward = on
 	return s.sc.Validate()
@@ -62,8 +63,10 @@ func (s *System) SetFastForward(on bool) error {
 // so a long-horizon run reports roughly horizon/every times. The
 // callback runs synchronously on the engine goroutine — keep it fast
 // and non-blocking (rtserved's SSE progress stream hands the value to
-// a channel). every must be positive; fn nil disarms. Resumed
-// (checkpoint) runs ignore it.
+// a channel). every must be positive; fn nil disarms. Watching is not
+// a feature of the run, so it combines with everything, fast-forward
+// included (the jump shows as one step of the clock). Checkpoint
+// segments, up to RunToCheckpoint and after Resume, ignore it.
 func (s *System) ObserveProgress(every Duration, fn func(at Duration)) {
 	if fn == nil || every.D() <= 0 {
 		s.progress = nil
@@ -157,7 +160,13 @@ func Policies() []string { return engine.PolicyNames() }
 
 // Run compiles the scenario and simulates it to the horizon. On a
 // System built by Resume it continues the checkpointed run instead.
+// The run's features are checked first (see features), so a
+// combination the platform cannot serve fails before the engine
+// starts.
 func (s *System) Run() (*RunResult, error) {
+	if err := s.features(s.resume != nil).Check(); err != nil {
+		return nil, err
+	}
 	c, err := s.compile(s.resume == nil)
 	if err != nil {
 		return nil, err
@@ -196,6 +205,13 @@ func (s *System) Run() (*RunResult, error) {
 		}
 	}
 	return res, nil
+}
+
+// features is what a run of s asks of the platform: the scenario as
+// armed now (SetVerify does not re-validate), the spill, and whether
+// the run stops at or resumes from a checkpoint.
+func (s *System) features(checkpoint bool) scenario.Features {
+	return scenario.Features{Scenario: &s.sc, Spill: s.spill != nil, Checkpoint: checkpoint}
 }
 
 // compiled is a scenario lowered onto core, plus what a run settles
