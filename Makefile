@@ -5,11 +5,19 @@ GO ?= go
 # bash for pipefail in bench-json.
 SHELL := /bin/bash
 
-.PHONY: build test race bench bench-json bench-gate script-lint fmt vet fmt-check x11 x12 x13 x14 x15 fuzz-smoke serve-smoke perfbench-test perfbench-smoke ci
+.PHONY: build examples-smoke test race bench bench-json bench-gate script-lint fmt vet fmt-check x11 x12 x13 x14 x15 fuzz-smoke serve-smoke perfbench-test perfbench-smoke ci
 
 build:
 	$(GO) build ./...
 	$(GO) build ./examples/...
+
+# Run every example from the repo root, where they find testdata/;
+# any non-zero exit fails (examples/scenario exits non-zero when its
+# literal and loaded runs trace differently).
+examples-smoke:
+	@for d in examples/*/; do \
+		$(GO) run "./$$d" > /dev/null || { echo "examples-smoke: $$d failed" >&2; exit 1; }; \
+	done
 
 test:
 	$(GO) test ./...
@@ -143,4 +151,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzAnalyze -fuzztime 10s ./internal/metrics
 	$(GO) test -run '^$$' -fuzz FuzzCheckpoint -fuzztime 10s ./internal/verify/gen
 
-ci: build vet fmt-check script-lint race perfbench-test perfbench-smoke bench-json bench-gate x11 x12 x13 x14 x15 fuzz-smoke serve-smoke
+ci: build examples-smoke vet fmt-check script-lint race perfbench-test perfbench-smoke bench-json bench-gate x11 x12 x13 x14 x15 fuzz-smoke serve-smoke

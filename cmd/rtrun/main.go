@@ -86,6 +86,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/taskset"
 	"repro/internal/vtime"
 	"repro/sim"
 	"repro/sim/scenario"
@@ -173,63 +174,67 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	}
-	var (
-		sys *sim.System
-		err error
-	)
+	var sys *sim.System
 	if *resumePath != "" {
-		cp, cerr := sim.DecodeCheckpointFile(*resumePath)
-		if cerr != nil {
-			return fail(cerr)
-		}
-		sys, err = sim.Resume(cp)
-	} else if *scenPath != "" {
-		sys, err = sim.Load(*scenPath)
-	} else {
-		faults, perr := parseFaults(*faultSpec)
-		if perr != nil {
-			return fail(perr)
-		}
-		arrivals, perr := parseArrivals(*arriveSpec)
-		if perr != nil {
-			return fail(perr)
-		}
-		opts := []sim.Option{
-			sim.WithTaskFile(*tasksPath),
-			sim.WithTreatment(*treatment),
-			sim.WithHorizon(vtime.Millis(*horizonMS)),
-			sim.WithTimerResolution(vtime.Millis(*resolution)),
-			sim.WithFaults(faults...),
-		}
-		if len(arrivals) > 0 {
-			// Open arrivals have no periodic admission analysis, so
-			// -arrive implies skip_admission (validation rejects any
-			// other treatment).
-			opts = append(opts, sim.WithArrivals(arrivals...), sim.WithoutAdmission())
-		}
-		if *stream {
-			opts = append(opts, sim.WithCollection(sim.CollectStream))
-		}
-		if *cpus != 0 {
-			opts = append(opts, sim.WithCPUs(*cpus))
-		}
-		if *placement != "" {
-			opts = append(opts, sim.WithPlacement(*placement))
-		}
-		if *partition != "" {
-			opts = append(opts, sim.WithPartitioner(*partition))
-		}
-		sys, err = sim.New(opts...)
-	}
-	if err != nil {
-		return fail(err)
-	}
-	if *fastFwd {
-		// Composes with both front doors like -check, re-validating the
-		// scenario with fast_forward set.
-		if err := sys.SetFastForward(true); err != nil {
+		cp, err := sim.DecodeCheckpointFile(*resumePath)
+		if err != nil {
 			return fail(err)
 		}
+		if sys, err = sim.Resume(cp); err != nil {
+			return fail(err)
+		}
+	} else {
+		var sc sim.Scenario
+		if *scenPath != "" {
+			decoded, err := scenario.DecodeFile(*scenPath)
+			if err != nil {
+				return fail(err)
+			}
+			sc = *decoded
+		} else {
+			faults, err := parseFaults(*faultSpec)
+			if err != nil {
+				return fail(err)
+			}
+			arrivals, err := parseArrivals(*arriveSpec)
+			if err != nil {
+				return fail(err)
+			}
+			tasks, err := readTasks(*tasksPath)
+			if err != nil {
+				return fail(err)
+			}
+			sc = sim.Scenario{
+				Tasks:           tasks,
+				Treatment:       *treatment,
+				Horizon:         sim.Millis(*horizonMS),
+				TimerResolution: sim.Millis(*resolution),
+				Faults:          faults,
+				CPUs:            *cpus,
+				Placement:       *placement,
+				Partitioner:     *partition,
+			}
+			if len(arrivals) > 0 {
+				// Open arrivals have no periodic admission analysis, so
+				// -arrive implies skip_admission (validation rejects any
+				// other treatment).
+				sc.Arrivals, sc.SkipAdmission = arrivals, true
+			}
+			if *stream {
+				sc.Collect = &sim.Collect{Mode: sim.CollectStream}
+			}
+		}
+		// -fast-forward composes with the flags and the file alike: the
+		// scenario validates with it set.
+		if *fastFwd {
+			sc.FastForward = true
+		}
+		var err error
+		if sys, err = sim.FromScenario(sc); err != nil {
+			return fail(err)
+		}
+	}
+	if *fastFwd {
 		// The scenario is eligible, so a flag whose feature the
 		// capability table refuses alongside fast_forward is the
 		// conflict, and the table says why.
@@ -252,9 +257,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if *check {
-		// -check composes with both front doors: it arms the oracle on
-		// top of whatever the flags or the scenario file declared
-		// (a scenario's own "verify": true stays armed either way).
+		// -check composes with the flags and the file alike: it arms
+		// the oracle on top of whatever they declared (a scenario's
+		// own "verify": true stays armed either way).
 		sys.SetVerify(true)
 	}
 	sc := sys.Scenario()
@@ -323,6 +328,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprint(stderr, res.Summary())
 	}
 	return 0
+}
+
+// readTasks parses a task-description file (the paper's text format,
+// see taskset.Parse) into scenario task specs, in file order.
+func readTasks(path string) ([]sim.Task, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	set, err := taskset.Parse(f)
+	if err != nil {
+		return nil, err
+	}
+	tasks := make([]sim.Task, len(set.Tasks))
+	for i, t := range set.Tasks {
+		tasks[i] = scenario.FromTask(t)
+	}
+	return tasks, nil
 }
 
 // parseFaults turns the -fault task:job:extraMS entries into scenario

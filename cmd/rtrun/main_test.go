@@ -212,11 +212,11 @@ func TestRepeatedFaultsCompose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := sim.New(
-		sim.WithTaskFile(filepath.Join("..", "..", "testdata", "figures.tasks")),
-		sim.WithHorizon(vtime.Millis(1500)),
-		sim.WithFaults(faults...),
-	)
+	tasks, err := readTasks(filepath.Join("..", "..", "testdata", "figures.tasks"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := sim.FromScenario(sim.Scenario{Tasks: tasks, Horizon: sim.Millis(1500), Faults: faults})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,5 +420,77 @@ func TestFastForwardFlagConflicts(t *testing.T) {
 		if !strings.Contains(stderr.String(), tc.want) {
 			t.Errorf("%v: error must mention %q: %s", tc.args, tc.want, stderr.String())
 		}
+	}
+}
+
+// TestNegativeFaultExtraRefused: a negative -fault extra fails
+// validation, naming the field, instead of reaching the engine.
+func TestNegativeFaultExtraRefused(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	tasks := filepath.Join("..", "..", "testdata", "figures.tasks")
+	if code := run([]string{"-tasks", tasks, "-horizon", "1500", "-fault", "tau1:5:-40"}, &stdout, &stderr); code != 1 {
+		t.Errorf("negative extra exited %d, want 1: %s", code, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "extra") {
+		t.Errorf("error must name extra: %s", stderr.String())
+	}
+}
+
+// TestScenarioFastForward: -fast-forward arms a scenario file as it
+// arms -tasks. An ineligible file exits 1 with the capability table's
+// reason, a conflicting flag exits 2, and an eligible file prints the
+// summary of the equivalent -tasks run, skipped cycles included.
+func TestScenarioFastForward(t *testing.T) {
+	scenarios := filepath.Join("..", "..", "testdata", "scenarios")
+	for _, tc := range []struct {
+		args []string
+		code int
+		want string
+	}{
+		{[]string{"-scenario", filepath.Join(scenarios, "figure5.json"), "-fast-forward"}, 1, `collect mode "stream"`},
+		{[]string{"-scenario", filepath.Join(scenarios, "scaling-100.json"), "-fast-forward", "-check"}, 2, "-check"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(tc.args, &stdout, &stderr); code != tc.code {
+			t.Errorf("%v exited %d, want %d: %s", tc.args, code, tc.code, stderr.String())
+		}
+		if !strings.Contains(stderr.String(), tc.want) {
+			t.Errorf("%v: error must mention %q: %s", tc.args, tc.want, stderr.String())
+		}
+	}
+
+	// figures.tasks as a streamed scenario file, with rtrun's defaults
+	// for the fields its flags would set.
+	path := filepath.Join(t.TempDir(), "figures-stream.json")
+	doc := `{
+  "tasks": [
+    {"name": "tau1", "priority": 20, "period": "200ms", "deadline": "70ms", "cost": "29ms"},
+    {"name": "tau2", "priority": 18, "period": "250ms", "deadline": "120ms", "cost": "29ms"},
+    {"name": "tau3", "priority": 16, "period": "1500ms", "deadline": "120ms", "cost": "29ms", "offset": "1000ms"}
+  ],
+  "horizon": "60000ms",
+  "timer_resolution": "10ms",
+  "collect": {"mode": "stream"}
+}
+`
+	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var fileOut, fileErr, flagsOut, flagsErr bytes.Buffer
+	if code := run([]string{"-scenario", path, "-fast-forward"}, &fileOut, &fileErr); code != 0 {
+		t.Fatalf("scenario file run exited %d: %s", code, fileErr.String())
+	}
+	tasks := filepath.Join("..", "..", "testdata", "figures.tasks")
+	if code := run([]string{"-tasks", tasks, "-horizon", "60000", "-stream", "-fast-forward"}, &flagsOut, &flagsErr); code != 0 {
+		t.Fatalf("-tasks run exited %d: %s", code, flagsErr.String())
+	}
+	if !strings.HasPrefix(fileErr.String(), "fast-forwarded ") || !strings.Contains(fileErr.String(), " hyperperiod cycles\n") {
+		t.Errorf("summary must report the skipped cycles: %s", fileErr.String())
+	}
+	if fileErr.String() != flagsErr.String() {
+		t.Errorf("scenario file summary differs from the -tasks run:\n--- file ---\n%s--- flags ---\n%s", fileErr.String(), flagsErr.String())
+	}
+	if fileOut.Len() != 0 || flagsOut.Len() != 0 {
+		t.Errorf("streamed runs wrote %d and %d bytes to stdout, want none", fileOut.Len(), flagsOut.Len())
 	}
 }

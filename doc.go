@@ -16,9 +16,8 @@
 //
 // Layout:
 //
-//   - sim — the public facade: functional-options builder, the
-//     declarative Scenario spec, and the policy and experiment
-//     registries (start here)
+//   - sim — the public facade: the declarative Scenario spec, and
+//     the policy and experiment registries (start here)
 //   - sim/scenario — the JSON scenario codec (canonical, strict)
 //   - internal/analysis — admission control (paper Section 2)
 //   - internal/allowance — tolerance factors (Section 4.2/4.3)
@@ -40,10 +39,10 @@
 // # Public simulation API
 //
 // Package repro/sim is the supported entry point for building
-// workloads. A simulation is described either with functional
-// options (sim.New(sim.WithTasks(...), sim.WithPolicy("edf"), ...))
-// or as a declarative, JSON-round-trippable sim.Scenario loaded from
-// disk (sim.Load); both compile into the same internal core.System.
+// workloads. A simulation is described by one declarative,
+// JSON-round-trippable value, sim.Scenario: written as a Go literal
+// and built with sim.FromScenario, or decoded from disk with sim.Load.
+// Both validate it and compile it into the same internal core.System.
 // That compilation is one path for every run — admitted, overload
 // (skip_admission), multiprocessor, checkpointed or resumed: the
 // scenario's skip_admission, cpus, partition and arrival sources
@@ -112,12 +111,11 @@
 // BenchmarkCollectRetain10m a retained run costs 459 bytes per job
 // against the streamed run's 12, and 1.02–2.04× its time over 13
 // same-binary pairs, above 2× in one of them (2-core container,
-// go1.24.0). Streaming collection
-// (sim.WithCollection(sim.CollectStream), the scenario "collect"
-// block, rtrun -stream, rtexp -stream) bounds memory for
-// long-horizon and soak runs: the engine recycles finished jobs,
-// skips the in-memory log, and feeds each event to a trace.Sink — a
-// metrics.Accumulator that maintains per-task counts, success
+// go1.24.0). Streaming collection (the scenario "collect" block,
+// mode sim.CollectStream, rtrun -stream, rtexp -stream) bounds
+// memory for long-horizon and soak runs: the engine recycles finished
+// jobs, skips the in-memory log, and feeds each event to a
+// trace.Sink — a metrics.Accumulator that maintains per-task counts, success
 // ratios, response min/mean/max and an ε-approximate quantile sketch
 // online, optionally teed with a trace.WriterSink that spills the
 // byte-identical text log to disk (System.SpillTrace, rtrun
@@ -161,7 +159,7 @@
 //
 // The paper's platform is a uniprocessor and every uniprocessor run
 // is byte-identical to what it always was, but the engine itself is
-// M-core (sim.WithCPUs, the scenario "cpus" field, rtrun -cpus).
+// M-core (the scenario "cpus" field, rtrun -cpus).
 // Global dispatch — the default — feeds all M cores from one shared
 // policy-ordered ready queue, running the M policy-best ready jobs
 // at every scheduling instant; a preempted job may resume on another
@@ -171,11 +169,11 @@
 // waiting heads, a free core takes the ready top, and the ready top
 // displaces the policy-worst running job only while it beats it, so
 // an event usually costs zero or one comparison and a completion
-// refills only its own core. Partitioned dispatch (sim.WithPlacement
-// "partitioned") instead pins every task to one core before the run
-// via utilization-decreasing bin packing — sched.FirstFitDecreasing
-// by default, sched.BestFitDecreasing with "partitioner":
-// "best-fit" — each core's feasibility proved by the paper's exact
+// refills only its own core. Partitioned dispatch (the scenario
+// "placement": "partitioned") instead pins every task to one core
+// before the run via utilization-decreasing bin packing —
+// sched.FirstFitDecreasing by default, sched.BestFitDecreasing with
+// "partitioner": "best-fit" — each core's feasibility proved by the paper's exact
 // response-time analysis; cores then schedule independently and jobs
 // never migrate. Multiprocessor runs skip admission control (it and
 // the fault treatments are uniprocessor machinery), so
@@ -203,8 +201,8 @@
 // running one at a settled instant (a missed preemption), detector
 // fires at the paper's
 // latest-detection bound, per-task conservation, and server budgets.
-// Arm it with core.Config.Oracle, sim.WithVerify, the scenario
-// "verify": true, or rtrun -check; a violation fails the run with a
+// Arm it with core.Config.Oracle, the scenario "verify": true,
+// sim.System.SetVerify, or rtrun -check; a violation fails the run with a
 // *verify.Error naming each breach. internal/verify/gen fuzzes the
 // scenario space (seeded UUniFast task sets × fault chains × policies
 // × servers × collection modes × core counts) and shrinks a failing
@@ -220,9 +218,9 @@
 // # Open arrivals and trace replay
 //
 // The paper's model is strictly periodic; internal/taskset's Source
-// abstraction opens it. A scenario "arrivals" block (sim.WithArrivals,
-// rtrun -arrive) replaces a task's periodic release law with a seeded
-// stochastic source — "poisson" (exponential inter-arrivals) or
+// abstraction opens it. A scenario "arrivals" block (rtrun -arrive)
+// replaces a task's periodic release law with a seeded stochastic
+// source — "poisson" (exponential inter-arrivals) or
 // "mmpp" (a two-state Markov-modulated Poisson process for bursty
 // traffic) — or with "trace", the replay of a recorded arrival log
 // whose records carry per-release cost and deadline overrides.
@@ -274,8 +272,8 @@
 //
 // Strictly periodic task sets revisit the same scheduling state every
 // hyperperiod once transients drain, so long horizons mostly
-// re-simulate one cycle. With fast-forward (sim.WithFastForward, the
-// scenario "fast_forward" field, rtrun -fast-forward) the engine
+// re-simulate one cycle. With fast-forward (the scenario
+// "fast_forward" field, rtrun -fast-forward) the engine
 // fingerprints its clock-relative state at each hyperperiod boundary
 // (FNV-1a over the event heap, pending/running jobs, release
 // positions and RNG); when two consecutive boundaries match it jumps

@@ -1,7 +1,8 @@
 // Scenario demonstrates the public sim facade: the same figure-5 run
-// expressed once through the functional-options builder and once
-// loaded from a declarative JSON spec, producing identical traces —
-// then an overload variant that swaps the scheduler by name only.
+// written once as a sim.Scenario literal and once loaded from its
+// declarative JSON file, producing identical traces (the program
+// exits non-zero if they differ) — then an overload variant that
+// swaps the scheduler by name only.
 //
 //	go run ./examples/scenario
 package main
@@ -10,24 +11,23 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/vtime"
 	"repro/sim"
 )
 
 func main() {
-	// Front door 1: the builder.
-	built, err := sim.New(
-		sim.WithName("figure5"),
-		sim.WithTasks(
-			sim.Task{Name: "tau1", Priority: 20, Period: sim.Millis(200), Deadline: sim.Millis(70), Cost: sim.Millis(29)},
-			sim.Task{Name: "tau2", Priority: 18, Period: sim.Millis(250), Deadline: sim.Millis(120), Cost: sim.Millis(29)},
-			sim.Task{Name: "tau3", Priority: 16, Period: sim.Millis(1500), Deadline: sim.Millis(120), Cost: sim.Millis(29), Offset: sim.Millis(1000)},
-		),
-		sim.WithTreatment("stop"),
-		sim.WithFaults(sim.Fault{Task: "tau1", Kind: sim.FaultOverrunAt, Job: 5, Extra: sim.Millis(40)}),
-		sim.WithHorizon(vtime.Millis(1500)),
-		sim.WithTimerResolution(vtime.Millis(10)),
-	)
+	// The scenario as a Go literal.
+	built, err := sim.FromScenario(sim.Scenario{
+		Name: "figure5",
+		Tasks: []sim.Task{
+			{Name: "tau1", Priority: 20, Period: sim.Millis(200), Deadline: sim.Millis(70), Cost: sim.Millis(29)},
+			{Name: "tau2", Priority: 18, Period: sim.Millis(250), Deadline: sim.Millis(120), Cost: sim.Millis(29)},
+			{Name: "tau3", Priority: 16, Period: sim.Millis(1500), Deadline: sim.Millis(120), Cost: sim.Millis(29), Offset: sim.Millis(1000)},
+		},
+		Treatment:       "stop",
+		Faults:          []sim.Fault{{Task: "tau1", Kind: sim.FaultOverrunAt, Job: 5, Extra: sim.Millis(40)}},
+		Horizon:         sim.Millis(1500),
+		TimerResolution: sim.Millis(10),
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Front door 2: the JSON spec.
+	// The same scenario decoded from its JSON file.
 	loaded, err := sim.Load("testdata/scenarios/figure5.json")
 	if err != nil {
 		log.Fatal(err)
@@ -46,8 +46,12 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fmt.Println("figure-5 scenario, built vs loaded:")
-	fmt.Printf("  identical traces: %v\n", builtRes.Log.EncodeString() == loadedRes.Log.EncodeString())
+	identical := builtRes.Log.EncodeString() == loadedRes.Log.EncodeString()
+	fmt.Println("figure-5 scenario, literal vs loaded:")
+	fmt.Printf("  identical traces: %v\n", identical)
+	if !identical {
+		log.Fatal("the literal and the loaded scenario traced differently")
+	}
 	fmt.Printf("  detections=%d success=%.4f\n\n", loadedRes.Detections, loadedRes.SuccessRatio())
 	fmt.Print(loadedRes.Summary())
 

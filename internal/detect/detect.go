@@ -61,8 +61,8 @@ func (t Treatment) String() string {
 // the short command-line vocabulary (none, detect, stop, equitable,
 // system) and the paper's long forms (no-detection, detect-only,
 // stop-equitable, equitable-allowance, system-allowance); the empty
-// string means NoDetection. It is the single mapping behind
-// sim.ParseTreatment and the verify oracle's scenario bridge.
+// string means NoDetection. It is the single mapping behind scenario
+// validation, package sim and the verify oracle's scenario bridge.
 func ParseTreatment(name string) (Treatment, error) {
 	switch name {
 	case "", "none", "no-detection":

@@ -547,3 +547,26 @@ func TestReclaimAndRemoveBuildLazyTables(t *testing.T) {
 		t.Error("table after RemoveTask differs from allowance.Compute")
 	}
 }
+
+// TestParseTreatment: the short command-line names and the paper's
+// long forms map to their constants, the empty name means
+// NoDetection, and an unknown name errors.
+func TestParseTreatment(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want Treatment
+	}{
+		{"", NoDetection}, {"none", NoDetection}, {"no-detection", NoDetection},
+		{"detect", DetectOnly}, {"detect-only", DetectOnly},
+		{"stop", Stop},
+		{"equitable", Equitable}, {"stop-equitable", Equitable}, {"equitable-allowance", Equitable},
+		{"system", SystemAllowance}, {"system-allowance", SystemAllowance},
+	} {
+		if got, err := ParseTreatment(tc.in); err != nil || got != tc.want {
+			t.Errorf("ParseTreatment(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+		}
+	}
+	if _, err := ParseTreatment("explode"); err == nil {
+		t.Error("unknown treatment must error")
+	}
+}

@@ -117,10 +117,6 @@ type Config struct {
 	// policy-best ready jobs run, wherever a core is free. Dynamic
 	// admission (AddTask) is global-only.
 	Partition []int
-	// Log receives trace events; a fresh log is created when nil.
-	// Only meaningful with Retain collection — combining it with
-	// Stream is a configuration error.
-	Log *trace.Log
 	// Collect selects Retain (default) or Stream collection.
 	Collect Collect
 	// Sink, when non-nil, receives every trace event as it is
@@ -489,9 +485,6 @@ func New(cfg Config) (*Engine, error) {
 	default:
 		return nil, fmt.Errorf("engine: unknown collection mode %d", cfg.Collect)
 	}
-	if cfg.Collect == Stream && cfg.Log != nil {
-		return nil, fmt.Errorf("engine: Config.Log cannot combine with Stream collection (events go to Config.Sink)")
-	}
 	if cfg.CPUs < 0 {
 		return nil, fmt.Errorf("engine: CPUs must be non-negative, got %d", cfg.CPUs)
 	}
@@ -540,7 +533,6 @@ func New(cfg Config) (*Engine, error) {
 	}
 	e := &Engine{
 		cfg:         cfg,
-		log:         cfg.Log,
 		ff:          ff,
 		observer:    cfg.Observer,
 		sink:        cfg.Sink,
@@ -563,13 +555,11 @@ func New(cfg Config) (*Engine, error) {
 		domains = e.cpus
 	}
 	e.ready = make([][]int32, domains)
-	if e.log == nil {
-		n := 4096
-		if e.stream {
-			n = 0 // stays empty: Run still returns a valid, empty log
-		}
-		e.log = trace.NewLog(n)
+	logCap := 4096
+	if e.stream {
+		logCap = 0 // stays empty: Run still returns a valid, empty log
 	}
+	e.log = trace.NewLog(logCap)
 	if e.policy == nil {
 		e.policy = FixedPriority{}
 	}

@@ -135,13 +135,9 @@ func TestPendingPrefixNiledOut(t *testing.T) {
 	}
 }
 
-// TestStreamConfigValidation: Stream refuses a caller-provided Log,
-// and unknown collection modes are rejected.
+// TestStreamConfigValidation: unknown collection modes are rejected.
 func TestStreamConfigValidation(t *testing.T) {
 	set := table2WithOffset()
-	if _, err := New(Config{Tasks: set, End: at(100), Collect: Stream, Log: trace.NewLog(1)}); err == nil {
-		t.Error("Stream plus Config.Log must be rejected")
-	}
 	if _, err := New(Config{Tasks: set, End: at(100), Collect: Collect(99)}); err == nil {
 		t.Error("unknown collection mode must be rejected")
 	}

@@ -572,6 +572,31 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestNegativeExtraRefused: figure5.json with its fault's extra
+// negated is refused with a 400 naming the field, before any worker
+// runs it (the engine would panic on a pool goroutine, which no layer
+// recovers), and the server still answers /healthz.
+func TestNegativeExtraRefused(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join("..", "..", "testdata", "scenarios", "figure5.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	neg := bytes.Replace(doc, []byte(`"extra": "40ms"`), []byte(`"extra": "-40ms"`), 1)
+	if bytes.Equal(neg, doc) {
+		t.Fatal(`figure5.json has no "extra": "40ms" to negate`)
+	}
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	if rec := post(t, s, "/v1/simulate", neg); rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "extra") {
+		t.Errorf("negative extra: status %d, want 400 naming extra: %s", rec.Code, rec.Body.String())
+	}
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
+	if rec.Code != http.StatusOK {
+		t.Errorf("healthz after the refusal: %d %q", rec.Code, rec.Body.String())
+	}
+}
+
 // TestMetricsEndpoint pins the /metrics document shape and that the
 // counters move. The canonical body misses and its repeat is a raw
 // hit; the compacted body hits through decode and digest, and its

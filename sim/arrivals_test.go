@@ -21,15 +21,15 @@ func arrivalTask(name string) Task {
 // with one source-driven task.
 func runArrival(t *testing.T, a Arrival, horizon vtime.Duration) *RunResult {
 	t.Helper()
-	s, err := New(
-		WithName("arrival-edge"),
-		WithTasks(arrivalTask(a.Task)),
-		WithArrivals(a),
-		WithHorizon(horizon),
-		WithSeed(9),
-		WithoutAdmission(),
-		WithVerify(),
-	)
+	s, err := FromScenario(Scenario{
+		Name:          "arrival-edge",
+		Tasks:         []Task{arrivalTask(a.Task)},
+		Arrivals:      []Arrival{a},
+		Horizon:       Duration(horizon),
+		Seed:          9,
+		SkipAdmission: true,
+		Verify:        true,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,15 +72,15 @@ func TestSingleRecordTrace(t *testing.T) {
 // to end: out-of-order records fail the run (never a silent sort),
 // both inline and via a file (where the error names the line).
 func TestOutOfOrderTraceRejected(t *testing.T) {
-	s, err := New(
-		WithTasks(arrivalTask("replay")),
-		WithArrivals(Arrival{Task: "replay", Kind: ArrivalTrace, Records: []TraceRecord{
+	s, err := FromScenario(Scenario{
+		Tasks: []Task{arrivalTask("replay")},
+		Arrivals: []Arrival{{Task: "replay", Kind: ArrivalTrace, Records: []TraceRecord{
 			{Release: Millis(30), Cost: Millis(2)},
 			{Release: Millis(10), Cost: Millis(2)},
-		}}),
-		WithHorizon(vtime.Millis(500)),
-		WithoutAdmission(),
-	)
+		}}},
+		Horizon:       Millis(500),
+		SkipAdmission: true,
+	})
 	if err == nil {
 		_, err = s.Run()
 	}
@@ -93,12 +93,12 @@ func TestOutOfOrderTraceRejected(t *testing.T) {
 	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s, err = New(
-		WithTasks(arrivalTask("replay")),
-		WithArrivals(Arrival{Task: "replay", Kind: ArrivalTrace, Path: path}),
-		WithHorizon(vtime.Millis(500)),
-		WithoutAdmission(),
-	)
+	s, err = FromScenario(Scenario{
+		Tasks:         []Task{arrivalTask("replay")},
+		Arrivals:      []Arrival{{Task: "replay", Kind: ArrivalTrace, Path: path}},
+		Horizon:       Millis(500),
+		SkipAdmission: true,
+	})
 	if err == nil {
 		_, err = s.Run()
 	}

@@ -11,6 +11,7 @@ package scenario
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strings"
 
@@ -215,8 +216,8 @@ const (
 )
 
 // Treatment names are validated through detect.ParseTreatment — the
-// single mapping behind the codec, sim.ParseTreatment and the verify
-// oracle — so the vocabulary cannot drift between them.
+// single mapping behind the codec, package sim and the verify oracle —
+// so the vocabulary cannot drift between them.
 
 // Scenario is the complete declarative description of one simulation.
 // The zero values mean: fixed-priority policy, no detection, no
@@ -300,10 +301,10 @@ func (sc *Scenario) Streaming() bool {
 
 // Validate checks the scenario structurally: task-set invariants
 // (including server tasks), known policy and treatment names, fault
-// entries referencing declared tasks, a positive horizon, and the
-// grammar of the multicore, arrival and collect blocks. It then asks
-// the capability table (Features) whether the declared features
-// combine.
+// entries referencing declared tasks, a positive horizon, durations
+// that are not negative, and the grammar of the multicore, arrival and
+// collect blocks. It then asks the capability table (Features) whether
+// the declared features combine.
 func (sc *Scenario) Validate() error {
 	if _, err := sc.TaskSet(); err != nil {
 		return err
@@ -316,6 +317,14 @@ func (sc *Scenario) Validate() error {
 	}
 	if sc.Horizon <= 0 {
 		return fmt.Errorf("scenario: horizon must be positive, got %v", sc.Horizon)
+	}
+	if err := errors.Join(
+		nonNegative("timer_resolution", sc.TimerResolution),
+		nonNegative("stop_poll", sc.StopPoll),
+		nonNegative("stop_jitter_max", sc.StopJitterMax),
+		nonNegative("context_switch", sc.ContextSwitch),
+	); err != nil {
+		return fmt.Errorf("scenario: %w", err)
 	}
 	if err := sc.validateMulticore(); err != nil {
 		return err
@@ -537,6 +546,20 @@ func (f Fault) checkFields() error {
 	}
 	if len(dead) > 0 {
 		return fmt.Errorf("kind %q does not use field(s): %s", f.Kind, strings.Join(dead, ", "))
+	}
+	// Each kind reads at most one of these, so at most one can fail.
+	return errors.Join(nonNegative("extra", f.Extra), nonNegative("early", f.Early), nonNegative("max", f.Max))
+}
+
+// nonNegative refuses a negative duration field, named as in JSON.
+// Zero means unset for every field it checks, but nothing downstream
+// reads a negative one correctly: the engine panics on a negative
+// overrun, the oracle charges a negative context switch the engine
+// never charged, and the others run as their defaults under a
+// different digest.
+func nonNegative(name string, d Duration) error {
+	if d < 0 {
+		return fmt.Errorf("%s must be non-negative, got %v", name, d)
 	}
 	return nil
 }

@@ -159,11 +159,28 @@ func TestValidate(t *testing.T) {
 		"task arrival without skip": func(sc *Scenario) {
 			sc.Arrivals = []Arrival{{Task: "tau1", Kind: ArrivalPoisson, Mean: ms(10)}}
 		},
+		// Zero means unset for each of these; below zero is refused.
+		"negative extra": func(sc *Scenario) {
+			sc.Faults = []Fault{{Task: "tau1", Kind: FaultOverrunAt, Job: 5, Extra: ms(-40)}}
+		},
+		"negative early": func(sc *Scenario) {
+			sc.Faults = []Fault{{Task: "tau1", Kind: FaultUnderrunEvery, Early: ms(-1)}}
+		},
+		"negative max": func(sc *Scenario) {
+			sc.Faults = []Fault{{Task: "tau1", Kind: FaultJitter, Max: ms(-3)}}
+		},
+		"negative timer_resolution": func(sc *Scenario) { sc.TimerResolution = ms(-10) },
+		"negative stop_poll":        func(sc *Scenario) { sc.StopPoll = ms(-5) },
+		"negative stop_jitter_max":  func(sc *Scenario) { sc.StopJitterMax = ms(-1) },
+		"negative context_switch":   func(sc *Scenario) { sc.ContextSwitch = ms(-1) },
 	} {
 		sc := validScenario()
 		mutate(&sc)
-		if err := sc.Validate(); err == nil {
+		err := sc.Validate()
+		if err == nil {
 			t.Errorf("%s: validation must fail", name)
+		} else if field, ok := strings.CutPrefix(name, "negative "); ok && !strings.Contains(err.Error(), field) {
+			t.Errorf("%s: error must name %s, got %v", name, field, err)
 		}
 	}
 }

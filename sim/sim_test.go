@@ -132,41 +132,6 @@ func TestScenarioFigure5MatchesRunFigure(t *testing.T) {
 	}
 }
 
-// TestBuilderMatchesScenarioFile: the functional-options builder and
-// the JSON spec compile to identical runs.
-func TestBuilderMatchesScenarioFile(t *testing.T) {
-	sys, err := New(
-		WithName("figure5"),
-		WithTasks(
-			Task{Name: "tau1", Priority: 20, Period: Millis(200), Deadline: Millis(70), Cost: Millis(29)},
-			Task{Name: "tau2", Priority: 18, Period: Millis(250), Deadline: Millis(120), Cost: Millis(29)},
-			Task{Name: "tau3", Priority: 16, Period: Millis(1500), Deadline: Millis(120), Cost: Millis(29), Offset: Millis(1000)},
-		),
-		WithTreatment("stop"),
-		WithFaults(Fault{Task: "tau1", Kind: FaultOverrunAt, Job: 5, Extra: Millis(40)}),
-		WithHorizon(vtime.Millis(1500)),
-		WithTimerResolution(vtime.Millis(10)),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	built, err := sys.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromFile, err := Load(scenarioPath("figure5.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := fromFile.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g, w := built.Log.EncodeString(), loaded.Log.EncodeString(); g != w {
-		t.Errorf("builder trace differs from scenario-file trace:\n--- builder ---\n%s\n--- file ---\n%s", g, w)
-	}
-}
-
 func TestOverloadScenarioRuns(t *testing.T) {
 	sys, err := Load(scenarioPath("edf-overload.json"))
 	if err != nil {
@@ -232,23 +197,17 @@ func TestSystemIsRerunnable(t *testing.T) {
 	}
 }
 
+// TestNewValidates: FromScenario refuses an empty scenario, names an
+// unknown policy, and refuses a treatment without admission control.
 func TestNewValidates(t *testing.T) {
-	if _, err := New(); err == nil {
+	if _, err := FromScenario(Scenario{}); err == nil {
 		t.Error("empty scenario must be rejected")
 	}
-	if _, err := New(
-		WithTasks(Task{Name: "a", Priority: 1, Period: Millis(10), Deadline: Millis(10), Cost: Millis(1)}),
-		WithHorizon(vtime.Millis(100)),
-		WithPolicy("no-such-policy"),
-	); err == nil || !strings.Contains(err.Error(), "no-such-policy") {
+	tasks := []Task{{Name: "a", Priority: 1, Period: Millis(10), Deadline: Millis(10), Cost: Millis(1)}}
+	if _, err := FromScenario(Scenario{Tasks: tasks, Horizon: Millis(100), Policy: "no-such-policy"}); err == nil || !strings.Contains(err.Error(), "no-such-policy") {
 		t.Errorf("unknown policy must be named in the error, got %v", err)
 	}
-	if _, err := New(
-		WithTasks(Task{Name: "a", Priority: 1, Period: Millis(10), Deadline: Millis(10), Cost: Millis(1)}),
-		WithHorizon(vtime.Millis(100)),
-		WithTreatment("stop"),
-		WithoutAdmission(),
-	); err == nil {
+	if _, err := FromScenario(Scenario{Tasks: tasks, Horizon: Millis(100), Treatment: "stop", SkipAdmission: true}); err == nil {
 		t.Error("skip_admission with a treatment must be rejected")
 	}
 }
@@ -265,18 +224,6 @@ func TestPoliciesRegistry(t *testing.T) {
 		if !seen {
 			t.Errorf("policy %q not registered (got %v)", n, names)
 		}
-	}
-}
-
-func TestParseTreatment(t *testing.T) {
-	for _, in := range []string{"", "none", "detect", "stop", "equitable", "system",
-		"no-detection", "detect-only", "stop-equitable", "equitable-allowance", "system-allowance"} {
-		if _, err := ParseTreatment(in); err != nil {
-			t.Errorf("ParseTreatment(%q): %v", in, err)
-		}
-	}
-	if _, err := ParseTreatment("explode"); err == nil {
-		t.Error("unknown treatment must error")
 	}
 }
 

@@ -11,31 +11,35 @@ import (
 	"repro/internal/vtime"
 )
 
-// soakOptions describes a 2-minute run with enough jobs (~3500) and
+// soakScenario describes a 2-minute run with enough jobs (~3500) and
 // response variety (seeded jitter plus a recurring overrun under the
-// stop treatment) to exercise the accumulator and its sketches.
-func soakOptions(extra ...Option) []Option {
-	opts := []Option{
-		WithTasks(
-			Task{Name: "tau1", Priority: 20, Period: Millis(200), Deadline: Millis(70), Cost: Millis(29)},
-			Task{Name: "tau2", Priority: 18, Period: Millis(250), Deadline: Millis(120), Cost: Millis(29)},
-			Task{Name: "tau3", Priority: 16, Period: Millis(1500), Deadline: Millis(120), Cost: Millis(29), Offset: Millis(1000)},
-		),
-		WithTreatment("stop"),
-		WithFaults(
-			Fault{Task: "tau1", Kind: FaultOverrunEvery, First: 1, Every: 3, Extra: Millis(45)},
-			Fault{Task: "tau2", Kind: FaultJitter, Max: Millis(3), Seed: 99},
-		),
-		WithTimerResolution(vtime.Millis(10)),
-		WithHorizon(120 * vtime.Second),
-		WithSeed(7),
+// stop treatment) to exercise the accumulator and its sketches,
+// collected in the given mode ("" keeps the default).
+func soakScenario(mode string) Scenario {
+	sc := Scenario{
+		Tasks: []Task{
+			{Name: "tau1", Priority: 20, Period: Millis(200), Deadline: Millis(70), Cost: Millis(29)},
+			{Name: "tau2", Priority: 18, Period: Millis(250), Deadline: Millis(120), Cost: Millis(29)},
+			{Name: "tau3", Priority: 16, Period: Millis(1500), Deadline: Millis(120), Cost: Millis(29), Offset: Millis(1000)},
+		},
+		Treatment: "stop",
+		Faults: []Fault{
+			{Task: "tau1", Kind: FaultOverrunEvery, First: 1, Every: 3, Extra: Millis(45)},
+			{Task: "tau2", Kind: FaultJitter, Max: Millis(3), Seed: 99},
+		},
+		TimerResolution: Millis(10),
+		Horizon:         Millis(120_000),
+		Seed:            7,
 	}
-	return append(opts, extra...)
+	if mode != "" {
+		sc.Collect = &Collect{Mode: mode}
+	}
+	return sc
 }
 
-func mustRun(t *testing.T, opts ...Option) *RunResult {
+func mustRun(t *testing.T, sc Scenario) *RunResult {
 	t.Helper()
-	sys, err := New(opts...)
+	sys, err := FromScenario(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,8 +71,8 @@ func successfulResponses(rep *metrics.Report, task string) []vtime.Duration {
 // while percentiles answer within the sketch's ±εn rank-error bound
 // of the exact sort-based values.
 func TestStreamingReportMatchesRetained(t *testing.T) {
-	retained := mustRun(t, soakOptions()...)
-	streamed := mustRun(t, soakOptions(WithCollection(CollectStream))...)
+	retained := mustRun(t, soakScenario(""))
+	streamed := mustRun(t, soakScenario(CollectStream))
 
 	if streamed.Log.Len() != 0 {
 		t.Errorf("streaming run retained %d events", streamed.Log.Len())
@@ -139,13 +143,13 @@ func TestStreamingReportMatchesRetained(t *testing.T) {
 // streaming run is byte-identical to the log a retained run writes
 // afterwards, and the streaming run's own WriteLog stays empty.
 func TestSpillTraceMatchesRetainedLog(t *testing.T) {
-	retained := mustRun(t, soakOptions()...)
+	retained := mustRun(t, soakScenario(""))
 	var want bytes.Buffer
 	if err := retained.WriteLog(&want); err != nil {
 		t.Fatal(err)
 	}
 
-	sys, err := New(soakOptions(WithCollection(CollectStream))...)
+	sys, err := FromScenario(soakScenario(CollectStream))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,23 +201,23 @@ func TestStreamSoakScenarioRuns(t *testing.T) {
 // TestCollectValidation: unknown modes and stream-with-servers are
 // rejected at build time.
 func TestCollectValidation(t *testing.T) {
-	if _, err := New(soakOptions(WithCollection("bogus"))...); err == nil {
+	if _, err := FromScenario(soakScenario("bogus")); err == nil {
 		t.Error("unknown collect mode must fail validation")
 	}
-	_, err := New(
-		WithTasks(Task{Name: "hard", Priority: 10, Period: Millis(100), Deadline: Millis(100), Cost: Millis(10)}),
-		WithServer(Server{
+	_, err := FromScenario(Scenario{
+		Tasks: []Task{{Name: "hard", Priority: 10, Period: Millis(100), Deadline: Millis(100), Cost: Millis(10)}},
+		Servers: []Server{{
 			Task:     Task{Name: "srv", Priority: 5, Period: Millis(50), Deadline: Millis(50), Cost: Millis(5)},
 			Requests: []Request{{ID: "a", Arrival: Millis(10), Cost: Millis(2)}},
-		}),
-		WithHorizon(vtime.Second),
-		WithCollection(CollectStream),
-	)
+		}},
+		Horizon: Millis(1000),
+		Collect: &Collect{Mode: CollectStream},
+	})
 	if err == nil {
 		t.Error("streaming plus servers must fail validation: the service analysis needs the log")
 	}
 	// Retain is accepted explicitly too.
-	if _, err := New(soakOptions(WithCollection(CollectRetain))...); err != nil {
+	if _, err := FromScenario(soakScenario(CollectRetain)); err != nil {
 		t.Errorf("explicit retain mode: %v", err)
 	}
 }

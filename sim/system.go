@@ -12,14 +12,13 @@ import (
 	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/metrics"
-	"repro/internal/taskset"
 	"repro/internal/trace"
 	"repro/internal/verify"
 	"repro/internal/vtime"
 	"repro/sim/scenario"
 )
 
-// System is a validated, not-yet-run simulation. Build with New,
+// System is a validated, not-yet-run simulation. Build with
 // FromScenario or Load; each Run compiles a fresh instance, so a
 // System may be run repeatedly (every run is identical — all
 // randomness is seeded by the scenario).
@@ -36,26 +35,15 @@ type System struct {
 
 // SpillTrace streams the trace's text encoding to w during the run —
 // the same bytes RunResult.WriteLog would produce afterwards. It is
-// how a streaming-collection run (WithCollection(CollectStream))
-// keeps its event stream without the in-memory log; on a retained run
+// how a streaming-collection run (collect mode CollectStream) keeps
+// its event stream without the in-memory log; on a retained run
 // it simply tees the log as it is recorded. Pass nil to disable.
 func (s *System) SpillTrace(w io.Writer) { s.spill = w }
 
 // SetVerify toggles the online invariant oracle on an already-built
-// system (the post-load equivalent of WithVerify or the scenario's
-// "verify": true — how cmd/rtrun -check arms it on a loaded file).
+// system (the post-load equivalent of the scenario's "verify": true —
+// how cmd/rtrun -check arms it on a loaded file).
 func (s *System) SetVerify(on bool) { s.sc.Verify = on }
-
-// SetFastForward arms hyperperiod fast-forward on an already-built
-// system (the post-load equivalent of WithFastForward or the
-// scenario's "fast_forward": true — how cmd/rtrun -fast-forward arms
-// it on a loaded file). Unlike SetVerify it re-validates, so it fails
-// when the scenario's features do not combine with fast_forward (see
-// scenario.Features).
-func (s *System) SetFastForward(on bool) error {
-	s.sc.FastForward = on
-	return s.sc.Validate()
-}
 
 // ObserveProgress registers fn to observe the run's advancing virtual
 // clock: it is called from the engine loop with the instant of the
@@ -146,15 +134,6 @@ func (r *RunResult) SuccessRatio() float64 { return r.Report.SuccessRatio() }
 // WriteLog encodes the trace log (the format cmd/rtchart consumes).
 func (r *RunResult) WriteLog(w io.Writer) error { return r.Log.Encode(w) }
 
-// ParseTreatment maps a treatment name to the detect constant. It
-// accepts the short command-line vocabulary (none, detect, stop,
-// equitable, system) and the paper's long forms (no-detection,
-// detect-only, stop-equitable, equitable-allowance,
-// system-allowance). The empty string means none.
-func ParseTreatment(name string) (detect.Treatment, error) {
-	return detect.ParseTreatment(name)
-}
-
 // Policies returns the names of all registered scheduling policies.
 func Policies() []string { return engine.PolicyNames() }
 
@@ -242,7 +221,9 @@ func (c *compiled) flush() error {
 // observe tees the ObserveProgress callback into the trace sink.
 func (s *System) compile(observe bool) (*compiled, error) {
 	sc := s.sc
-	set, err := taskset.New(taskSlice(sc.Tasks)...)
+	// The set is the engine's task order: periodic tasks first, then
+	// one task per server.
+	set, err := sc.TaskSet()
 	if err != nil {
 		return nil, err
 	}
@@ -250,34 +231,36 @@ func (s *System) compile(observe bool) (*compiled, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Attach each polling server: its task joins the set, its queue
-	// model joins the plan. A fault entry declared on a server task
-	// composes with the polling model (a buggy server overrunning its
-	// declared capacity).
+	if plan == nil && len(sc.Servers) > 0 {
+		plan = fault.Plan{}
+	}
+	// Each server's polling model joins the plan. A fault entry
+	// declared on a server task composes after the polling model (a
+	// buggy server overrunning its declared capacity).
 	c := &compiled{servers: make(map[string]*aperiodic.PollingServer, len(sc.Servers))}
 	for _, spec := range sc.Servers {
 		ps := spec.Server()
 		// A source-fed server materializes its request stream from the
-		// declared arrival source (up to the horizon) before Attach
-		// compiles the polling model — the model replays a static
+		// declared arrival source (up to the horizon) before the
+		// polling model is compiled — the model replays a static
 		// schedule, so the source resolves here, once, deterministically.
+		// Validate never sees those requests, so check them here.
 		if reqs, err := sc.ServerRequests(ps.Task.Name); err != nil {
 			return nil, err
 		} else if reqs != nil {
 			ps.Requests = reqs
 		}
-		declared := plan.For(ps.Task.Name)
-		delete(plan, ps.Task.Name)
-		set, plan, err = ps.Attach(set, plan)
-		if err != nil {
+		if err := ps.Validate(); err != nil {
 			return nil, err
 		}
-		if _, isNone := declared.(fault.None); !isNone {
-			plan[ps.Task.Name] = fault.Chain{plan[ps.Task.Name], declared}
+		model := ps.Model()
+		if declared, ok := plan[ps.Task.Name]; ok {
+			model = fault.Chain{model, declared}
 		}
+		plan[ps.Task.Name] = model
 		c.servers[ps.Task.Name] = ps
 	}
-	tr, err := ParseTreatment(sc.Treatment)
+	tr, err := detect.ParseTreatment(sc.Treatment)
 	if err != nil {
 		return nil, err
 	}
@@ -338,12 +321,4 @@ func (s *System) compile(observe bool) (*compiled, error) {
 		return nil, err
 	}
 	return c, nil
-}
-
-func taskSlice(specs []Task) []taskset.Task {
-	out := make([]taskset.Task, len(specs))
-	for i, t := range specs {
-		out[i] = t.Task()
-	}
-	return out
 }
