@@ -12,7 +12,6 @@
 //	rtexp -svg charts/    # additionally write one SVG per figure
 //	rtexp -parallel 8     # shard sweep simulations over 8 workers
 //	rtexp -serial         # force the serial path (same output, one sim at a time)
-//	rtexp -stream         # streaming collection per simulation (x2/x4; same output)
 //	rtexp -progress       # live done/total counts on stderr
 //	rtexp -json           # machine-readable artefacts, one JSON object per line
 //
@@ -61,7 +60,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		svgDir   = fs.String("svg", "", "directory to write per-figure SVG charts")
 		parallel = fs.Int("parallel", 0, "worker count for sweep simulations (0 = all cores)")
 		serial   = fs.Bool("serial", false, "force serial execution (equivalent to -parallel 1)")
-		stream   = fs.Bool("stream", false, "streaming collection for sweep simulations (bounded memory, same artefacts)")
 		progress = fs.Bool("progress", false, "report sweep progress on stderr")
 		jsonOut  = fs.Bool("json", false, "emit artefacts as JSON lines instead of tables")
 	)
@@ -89,7 +87,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		if *which != "all" && *which != e.Name() {
 			continue
 		}
-		opt := sim.RunOptions{Parallelism: *parallel, Stream: *stream}
+		opt := sim.RunOptions{Parallelism: *parallel}
 		if *serial {
 			opt.Parallelism = 1
 		}

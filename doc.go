@@ -103,19 +103,21 @@
 //
 // # Streaming collection
 //
-// A run retains, by default, every job record and every trace event —
-// memory linear in the horizon, but little time: trace.Log stores
-// events in fixed 4 096-event chunks, so growth never copies a
-// recorded event, and metrics.Analyze rebuilds the jobs in one pass
-// through a per-task index, with no map entry or pointer per job. On
-// BenchmarkCollectRetain10m a retained run costs 459 bytes per job
-// against the streamed run's 12, and 1.02–2.04× its time over 13
-// same-binary pairs, above 2× in one of them (2-core container,
-// go1.24.0). Streaming collection (the scenario "collect" block,
-// mode sim.CollectStream, rtrun -stream, rtexp -stream) bounds
-// memory for long-horizon and soak runs: the engine recycles finished
-// jobs, skips the in-memory log, and feeds each event to a
-// trace.Sink — a metrics.Accumulator that maintains per-task counts, success
+// In both collection modes the engine keeps a Job record only while
+// its job is live: a record comes from a pool at release and goes back
+// at termination, and what happened to a job afterwards is read from
+// the events. A run retains, by default, every trace event — memory
+// linear in the horizon, but little time: trace.Log stores events in
+// fixed 4 096-event chunks, so growth never copies a recorded event,
+// and metrics.Analyze rebuilds the jobs in one pass through a per-task
+// index, with no map entry or pointer per job. On
+// BenchmarkCollectRetain10m a retained run costs 324 bytes per job
+// against the streamed run's 12, and 1.04–1.27× its time in five
+// same-binary captures (2-core container, go1.24.0).
+// Streaming collection (the scenario "collect" block, mode
+// sim.CollectStream, rtrun -stream) bounds memory for long-horizon and
+// soak runs: the engine skips the in-memory log and feeds each event
+// to a trace.Sink — a metrics.Accumulator that maintains per-task counts, success
 // ratios, response min/mean/max and an ε-approximate quantile sketch
 // online, optionally teed with a trace.WriterSink that spills the
 // byte-identical text log to disk (System.SpillTrace, rtrun

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/aperiodic"
+	"repro/internal/metrics"
 	"repro/internal/taskset"
 	"repro/internal/vtime"
 )
@@ -75,12 +76,7 @@ func main() {
 		fmt.Printf("%-8s %9v %7v %11s %10s %6s\n", r.ID, r.Arrival, r.Cost, comp, respStr, soft)
 	}
 
-	missed := 0
-	for _, j := range e.Jobs("control") {
-		if j.Done() && j.Missed() {
-			missed++
-		}
-	}
+	missed := metrics.Analyze(e.Log()).Tasks["control"].Failed
 	fmt.Printf("\nperiodic task deadline misses during the burst: %d (the capacity cap\n", missed)
 	fmt.Println("means no aperiodic load can exceed what admission control budgeted).")
 }

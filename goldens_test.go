@@ -2,6 +2,7 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"flag"
@@ -151,8 +152,21 @@ func TestFigureGoldens(t *testing.T) {
 	}
 }
 
+// experimentText runs a registered experiment with default options
+// and returns the text rtexp prints for it.
+func experimentText(name string) (string, error) {
+	e, ok := sim.LookupExperiment(name)
+	if !ok {
+		return "", fmt.Errorf("no experiment %q", name)
+	}
+	res, err := e.Run(context.Background(), sim.RunOptions{})
+	return res.Text, err
+}
+
 // TestTableGoldens pins the rendered Table 1–3 artefacts (analysis
-// outputs, engine-independent — they guard the shared rendering).
+// outputs, engine-independent — they guard the shared rendering) and
+// the X2 and X4 sweep tables, whose success ratios come from whole
+// simulated runs.
 func TestTableGoldens(t *testing.T) {
 	render := map[string]func() (string, error){
 		"table1": func() (string, error) {
@@ -176,6 +190,8 @@ func TestTableGoldens(t *testing.T) {
 			}
 			return experiments.RenderTable3(rows), nil
 		},
+		"x2": func() (string, error) { return experimentText("x2") },
+		"x4": func() (string, error) { return experimentText("x4") },
 	}
 	names := make([]string, 0, len(render))
 	for n := range render {

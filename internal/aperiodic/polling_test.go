@@ -7,6 +7,7 @@ import (
 	"repro/internal/detect"
 	"repro/internal/engine"
 	"repro/internal/fault"
+	"repro/internal/metrics"
 	"repro/internal/taskset"
 	"repro/internal/vtime"
 )
@@ -139,10 +140,9 @@ func TestBurstCannotHurtPeriodicTasks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, j := range e.Jobs("hard") {
-		if j.Done() && j.Missed() {
-			t.Fatalf("hard#%d failed under aperiodic burst", j.Q)
-		}
+	// hard releases at 0, 100, ..., 3000 ms.
+	if hard := metrics.Analyze(e.Log()).Tasks["hard"]; hard == nil || hard.Released != 31 || hard.Failed != 0 {
+		t.Fatalf("hard under aperiodic burst: %+v, want 31 released, none failed", hard)
 	}
 	// The server drains at most 10ms per 50ms: in 2900ms after the
 	// burst it serves at most ~580ms of the 1000ms backlog.
@@ -183,27 +183,42 @@ func TestDetectorsApplyToServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	sup.Attach(e)
-	e.Run()
+	log := e.Run()
 	if sup.Detections() == 0 {
 		t.Fatal("the overrunning server must be detected")
 	}
-	for _, j := range e.Jobs("victim") {
-		if j.Done() && j.Missed() {
-			t.Fatalf("victim#%d failed despite server detectors", j.Q)
-		}
+	// victim releases at 0, 100, ..., 1000 ms.
+	if victim := metrics.Analyze(log).Tasks["victim"]; victim == nil || victim.Released != 11 || victim.Failed != 0 {
+		t.Fatalf("victim despite server detectors: %+v, want 11 released, none failed", victim)
 	}
 }
 
 func TestEmptyPollsAreCheap(t *testing.T) {
 	ps := server(5)
-	e, _, err := ps.Run(periodicSet(), nil, ms(1000))
+	set, plan, err := ps.Attach(periodicSet(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, j := range e.Jobs("server") {
-		if j.Done() && j.Executed > ms(1) {
-			t.Fatalf("idle poll consumed %v", j.Executed)
-		}
+	polls := 0
+	e, err := engine.New(engine.Config{Tasks: set, Faults: plan, End: at(1000), Hooks: engine.Hooks{
+		OnFinish: func(_ *engine.Engine, j *engine.Job) {
+			if j.TaskName() != "server" {
+				return
+			}
+			polls++
+			if j.Executed > ms(1) {
+				t.Errorf("idle poll server#%d consumed %v", j.Q, j.Executed)
+			}
+		},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Run()
+	// The server releases at 0, 50, ..., 1000 ms; the poll at 1000 ms
+	// waits behind hard past the horizon.
+	if polls != 20 {
+		t.Errorf("checked %d finished polls, want 20", polls)
 	}
 }
 

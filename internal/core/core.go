@@ -66,9 +66,10 @@ type Config struct {
 	// release law with source-driven releases (engine.Config.Sources).
 	Sources []taskset.Source
 	// Collect selects run-data retention: engine.Retain (default)
-	// keeps the full log and job history; engine.Stream bounds memory
-	// for long horizons — the Report comes from a streaming
-	// metrics.Accumulator and Result.Log stays empty.
+	// keeps the full event log, and the Report comes from
+	// metrics.Analyze; engine.Stream bounds memory for long horizons —
+	// the Report comes from a streaming metrics.Accumulator and
+	// Result.Log stays empty.
 	Collect engine.Collect
 	// TraceSink, when non-nil, receives every trace event as it is
 	// recorded: alongside the log under Retain, instead of it under

@@ -7,6 +7,7 @@ import (
 	"repro/internal/allowance"
 	"repro/internal/engine"
 	"repro/internal/fault"
+	"repro/internal/metrics"
 	"repro/internal/taskset"
 	"repro/internal/trace"
 	"repro/internal/vtime"
@@ -42,6 +43,37 @@ func runFigure(t *testing.T, tr Treatment) (*engine.Engine, *Supervisor, *trace.
 	}
 	sup.Attach(e)
 	return e, sup, e.Run()
+}
+
+// figureJobs returns the log's records of the three jobs released at
+// the 1000 ms critical instant: tau1#5, tau2#4 and tau3#0.
+func figureJobs(t *testing.T, log *trace.Log) (j1, j2, j3 metrics.JobRecord) {
+	t.Helper()
+	rep := metrics.Analyze(log)
+	var ok [3]bool
+	j1, ok[0] = rep.Job("tau1", 5)
+	j2, ok[1] = rep.Job("tau2", 4)
+	j3, ok[2] = rep.Job("tau3", 0)
+	if ok != [3]bool{true, true, true} {
+		t.Fatalf("critical-instant jobs in the log: %v", ok)
+	}
+	return j1, j2, j3
+}
+
+// taskJobs returns the log's records of one task's jobs, failing the
+// test unless there are exactly want of them.
+func taskJobs(t *testing.T, log *trace.Log, task string, want int) []metrics.JobRecord {
+	t.Helper()
+	var out []metrics.JobRecord
+	for _, j := range metrics.Analyze(log).Jobs {
+		if j.Task == task {
+			out = append(out, j)
+		}
+	}
+	if len(out) != want {
+		t.Fatalf("log holds %d jobs of %s, want %d", len(out), task, want)
+	}
+	return out
 }
 
 func TestSupervisorRejectsInfeasibleSystem(t *testing.T) {
@@ -94,12 +126,11 @@ func TestEquitableDetectorOffsets(t *testing.T) {
 // the execution (same completions as Figure 3) but records detector
 // releases and the faults.
 func TestFigure4DetectOnly(t *testing.T) {
-	e, sup, log := runFigure(t, DetectOnly)
-	j1, _ := e.JobAt("tau1", 5)
-	j3, _ := e.JobAt("tau3", 0)
-	if j1.FinishedAt != at(1069) || j3.FinishedAt != at(1127) || !j3.Missed() {
-		t.Errorf("detect-only must not change the schedule: tau1 %v, tau3 %v missed=%v",
-			j1.FinishedAt, j3.FinishedAt, j3.Missed())
+	_, sup, log := runFigure(t, DetectOnly)
+	j1, _, j3 := figureJobs(t, log)
+	if j1.End != at(1069) || j3.End != at(1127) || !j3.Failed() {
+		t.Errorf("detect-only must not change the schedule: tau1 %v, tau3 %v failed=%v",
+			j1.End, j3.End, j3.Failed())
 	}
 	if sup.Detections() == 0 {
 		t.Fatal("the overrun must be detected")
@@ -123,18 +154,16 @@ func TestFigure4DetectOnly(t *testing.T) {
 // τ1 is stopped at its (quantized) WCRT and the processor is free
 // before the expiries of τ2 and τ3.
 func TestFigure5Stop(t *testing.T) {
-	e, _, _ := runFigure(t, Stop)
-	j1, _ := e.JobAt("tau1", 5)
-	j2, _ := e.JobAt("tau2", 4)
-	j3, _ := e.JobAt("tau3", 0)
-	if !j1.Stopped() || j1.FinishedAt != at(1030) {
-		t.Errorf("tau1#5 stopped=%v at %v, want stopped at 1030ms", j1.Stopped(), j1.FinishedAt)
+	_, _, log := runFigure(t, Stop)
+	j1, j2, j3 := figureJobs(t, log)
+	if !j1.Stopped || j1.End != at(1030) {
+		t.Errorf("tau1#5 stopped=%v at %v, want stopped at 1030ms", j1.Stopped, j1.End)
 	}
-	if j2.Missed() || j2.FinishedAt != at(1059) {
-		t.Errorf("tau2#4 at %v missed=%v, want 1059ms met", j2.FinishedAt, j2.Missed())
+	if j2.Failed() || j2.End != at(1059) {
+		t.Errorf("tau2#4 at %v failed=%v, want 1059ms met", j2.End, j2.Failed())
 	}
-	if j3.Missed() || j3.FinishedAt != at(1088) {
-		t.Errorf("tau3#0 at %v missed=%v, want 1088ms met", j3.FinishedAt, j3.Missed())
+	if j3.Failed() || j3.End != at(1088) {
+		t.Errorf("tau3#0 at %v failed=%v, want 1088ms met", j3.End, j3.Failed())
 	}
 }
 
@@ -142,18 +171,16 @@ func TestFigure5Stop(t *testing.T) {
 // WCRT (release + 40 ms), later than under Stop; τ2 and τ3 meet
 // their deadlines with CPU time left unused.
 func TestFigure6Equitable(t *testing.T) {
-	e, _, _ := runFigure(t, Equitable)
-	j1, _ := e.JobAt("tau1", 5)
-	j2, _ := e.JobAt("tau2", 4)
-	j3, _ := e.JobAt("tau3", 0)
-	if !j1.Stopped() || j1.FinishedAt != at(1040) {
-		t.Errorf("tau1#5 stopped=%v at %v, want stopped at 1040ms (WCRT+11 quantized)", j1.Stopped(), j1.FinishedAt)
+	_, _, log := runFigure(t, Equitable)
+	j1, j2, j3 := figureJobs(t, log)
+	if !j1.Stopped || j1.End != at(1040) {
+		t.Errorf("tau1#5 stopped=%v at %v, want stopped at 1040ms (WCRT+11 quantized)", j1.Stopped, j1.End)
 	}
-	if j2.Missed() || j2.FinishedAt != at(1069) {
-		t.Errorf("tau2#4 at %v missed=%v, want 1069ms met", j2.FinishedAt, j2.Missed())
+	if j2.Failed() || j2.End != at(1069) {
+		t.Errorf("tau2#4 at %v failed=%v, want 1069ms met", j2.End, j2.Failed())
 	}
-	if j3.Missed() || j3.FinishedAt != at(1098) {
-		t.Errorf("tau3#0 at %v missed=%v, want 1098ms met", j3.FinishedAt, j3.Missed())
+	if j3.Failed() || j3.End != at(1098) {
+		t.Errorf("tau3#0 at %v failed=%v, want 1098ms met", j3.End, j3.Failed())
 	}
 }
 
@@ -161,18 +188,16 @@ func TestFigure6Equitable(t *testing.T) {
 // after its worst case response time (1062 ms); τ2 and τ3 finish just
 // before their deadlines (1091 and exactly 1120).
 func TestFigure7SystemAllowance(t *testing.T) {
-	e, _, log := runFigure(t, SystemAllowance)
-	j1, _ := e.JobAt("tau1", 5)
-	j2, _ := e.JobAt("tau2", 4)
-	j3, _ := e.JobAt("tau3", 0)
-	if !j1.Stopped() || j1.FinishedAt != at(1062) {
-		t.Errorf("tau1#5 stopped=%v at %v, want stopped at 1062ms (WCRT+33)", j1.Stopped(), j1.FinishedAt)
+	_, _, log := runFigure(t, SystemAllowance)
+	j1, j2, j3 := figureJobs(t, log)
+	if !j1.Stopped || j1.End != at(1062) {
+		t.Errorf("tau1#5 stopped=%v at %v, want stopped at 1062ms (WCRT+33)", j1.Stopped, j1.End)
 	}
-	if j2.Missed() || j2.Stopped() || j2.FinishedAt != at(1091) {
-		t.Errorf("tau2#4 at %v missed=%v stopped=%v, want completed 1091ms", j2.FinishedAt, j2.Missed(), j2.Stopped())
+	if j2.Failed() || j2.Stopped || j2.End != at(1091) {
+		t.Errorf("tau2#4 at %v failed=%v stopped=%v, want completed 1091ms", j2.End, j2.Failed(), j2.Stopped)
 	}
-	if j3.Missed() || j3.Stopped() || j3.FinishedAt != at(1120) {
-		t.Errorf("tau3#0 at %v missed=%v stopped=%v, want completed exactly at its 1120ms deadline", j3.FinishedAt, j3.Missed(), j3.Stopped())
+	if j3.Failed() || j3.Stopped || j3.End != at(1120) {
+		t.Errorf("tau3#0 at %v failed=%v stopped=%v, want completed exactly at its 1120ms deadline", j3.End, j3.Failed(), j3.Stopped)
 	}
 	// An allowance grant of 33 ms is recorded for τ1.
 	var sawGrant bool
@@ -266,13 +291,15 @@ func TestRecurringFaultsStopEveryOccurrence(t *testing.T) {
 		t.Fatal(err)
 	}
 	sup.Attach(e)
-	e.Run()
+	log := e.Run()
 	if sup.Detections() < 5 {
 		t.Fatalf("expected at least 5 detections, got %d", sup.Detections())
 	}
-	for _, name := range []string{"tau2", "tau3"} {
-		for _, j := range e.Jobs(name) {
-			if j.Done() && j.Missed() {
+	// Releases up to 3000 ms: tau2 at 0, 250, ..., 3000; tau3 at 1000
+	// and 2500.
+	for name, n := range map[string]int{"tau2": 13, "tau3": 2} {
+		for _, j := range taskJobs(t, log, name, n) {
+			if j.Failed() {
 				t.Errorf("%s#%d failed despite the stop treatment", name, j.Q)
 			}
 		}
@@ -310,19 +337,20 @@ func TestDynamicAdmission(t *testing.T) {
 			t.Error("AdmitTask(c) must be rejected by admission control")
 		}
 	})
-	e.Run()
-	// Every faulty job of b must have been stopped; a never fails.
+	log := e.Run()
+	// Every faulty job of b must have been stopped; a never fails. b
+	// releases at 250, 450, ..., 1850 ms, a at 0, 100, ..., 2000 ms.
 	var stopped int
-	for _, j := range e.Jobs("b") {
-		if j.Stopped() {
+	for _, j := range taskJobs(t, log, "b", 9) {
+		if j.Stopped {
 			stopped++
 		}
 	}
 	if stopped == 0 {
 		t.Fatal("dynamically added faulty task was never stopped by its detector")
 	}
-	for _, j := range e.Jobs("a") {
-		if j.Done() && j.Missed() {
+	for _, j := range taskJobs(t, log, "a", 21) {
+		if j.Failed() {
 			t.Errorf("a#%d failed despite detectors", j.Q)
 		}
 	}

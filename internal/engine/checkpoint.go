@@ -22,9 +22,9 @@ const CheckpointVersion = 2
 // same Config needs to continue the run: a run split at a checkpoint
 // boundary produces a byte-identical trace to the unsplit run.
 //
-// Checkpoints cover Stream collection only (Retain runs keep the full
-// job history and log, which is exactly what a long-horizon run must
-// not carry), and only instants with no in-flight external timers —
+// Checkpoints cover Stream collection only (a Retain run keeps its
+// whole event log, which a checkpoint does not carry and a long-horizon
+// run must not), and only instants with no in-flight external timers —
 // detector treatments, polling servers and d-over's watchdog hold
 // closure-bearing timers the checkpoint cannot capture. Snapshot
 // reports both conditions as errors.
@@ -126,7 +126,7 @@ func (e *Engine) liveTimers() int { return len(e.fns) - len(e.freeFns) }
 // while external timers are in flight — see Checkpoint.
 func (e *Engine) Snapshot() (*Checkpoint, error) {
 	if !e.stream {
-		return nil, fmt.Errorf("engine: Snapshot requires Stream collection (Retain runs carry the full log and job history)")
+		return nil, fmt.Errorf("engine: Snapshot requires Stream collection (a Retain run carries its whole event log)")
 	}
 	if n := e.liveTimers(); n > 0 {
 		return nil, fmt.Errorf("engine: Snapshot with %d external timer(s) in flight (detector treatments, polling servers and watchdog policies are not checkpointable)", n)
@@ -256,7 +256,6 @@ func (e *Engine) Restore(cp *Checkpoint) error {
 		ts.pending = ts.pending[:0]
 		ts.phead = 0
 		ts.rdPos = -1
-		ts.jobs = nil
 		if err := fault.SetModelState(ts.model, tc.FaultState); err != nil {
 			return fmt.Errorf("engine: task %q: %w", tc.Name, err)
 		}

@@ -55,18 +55,17 @@ import (
 // Collect selects how much run data the engine retains.
 type Collect uint8
 
-// Collection modes.
+// Collection modes. They differ only in where events go: a Job record
+// lives from its release to its termination in both (see JobAt), and
+// what happened to a job afterwards is read from the events, through
+// metrics.Analyze on a retained log or a metrics.Accumulator sink.
 const (
-	// Retain is the default: every Job is kept for post-hoc queries
-	// (Jobs, JobAt, metrics.Analyze) and every event is appended to
-	// the in-memory log. Memory grows with the horizon.
+	// Retain is the default: every event is appended to the in-memory
+	// log (and to Config.Sink, if set). Memory grows with the horizon.
 	Retain Collect = iota
-	// Stream bounds memory for long-horizon runs: finished Job
-	// records are recycled through an internal pool as soon as they
-	// leave the pending queue, and events bypass the in-memory log,
-	// going only to Config.Sink (a metrics.Accumulator, a spill
-	// writer, or nothing). Jobs returns nil and JobAt resolves live
-	// jobs only.
+	// Stream bounds memory for long-horizon runs: events bypass the
+	// in-memory log, going only to Config.Sink (a metrics.Accumulator,
+	// a spill writer, or nothing).
 	Stream
 )
 
@@ -143,10 +142,10 @@ type Config struct {
 }
 
 // Hooks are observation points used by the fault-tolerance supervisor
-// and by tests. Under Stream collection the *Job passed to a hook is
-// recycled once the hook returns — read what you need, do not retain
-// the pointer; and the job is already consumed from its task's queue
-// when OnFinish/OnStopped run, so a JobAt for it inside the hook
+// and by tests. The *Job passed to a hook is recycled once it
+// terminates (after OnFinish/OnStopped return): read what you need, do
+// not keep the pointer. The job is already consumed from its task's
+// queue when OnFinish/OnStopped run, so a JobAt for it inside the hook
 // reports it missing (see JobAt's contract).
 type Hooks struct {
 	// OnRelease fires after a job is released and admitted.
@@ -177,7 +176,8 @@ type Policy interface {
 	// overload baselines do.
 	Better(a, b *Job) bool
 	// Admit is consulted at release; returning false drops the job
-	// (it is recorded as released, then immediately abandoned).
+	// (it is recorded as released, then immediately stopped, and its
+	// record is recycled).
 	Admit(e *Engine, j *Job) bool
 }
 
@@ -220,8 +220,6 @@ type Job struct {
 	Actual vtime.Duration
 	// Executed is the CPU time consumed so far.
 	Executed vtime.Duration
-	// FinishedAt is the completion or stop instant (valid if done).
-	FinishedAt vtime.Time
 
 	overhead  vtime.Duration // charged context-switch cost
 	workLimit vtime.Duration // executed-work bound from a stop request
@@ -233,7 +231,6 @@ type Job struct {
 	done      bool
 	stopped   bool
 	missed    bool
-	dropped   bool
 }
 
 // TaskName returns the owning task's name.
@@ -253,9 +250,6 @@ func (j *Job) Stopped() bool { return j.stopped }
 // unfinished, or it was stopped incomplete.
 func (j *Job) Missed() bool { return j.missed || j.stopped }
 
-// Dropped reports whether the policy refused the job at release.
-func (j *Job) Dropped() bool { return j.dropped }
-
 // Remaining returns the work still owed (zero once done).
 func (j *Job) Remaining() vtime.Duration {
 	d := j.demand() - j.Executed
@@ -263,11 +257,6 @@ func (j *Job) Remaining() vtime.Duration {
 		return 0
 	}
 	return d
-}
-
-// ResponseTime returns FinishedAt − Release for terminated jobs.
-func (j *Job) ResponseTime() vtime.Duration {
-	return j.FinishedAt.Sub(j.Release)
 }
 
 // demand is the effective work the job will perform before
@@ -303,10 +292,6 @@ type taskState struct {
 	// partitioned dispatch.
 	dom     int32
 	removed bool
-	// jobs retains every job for metrics (bounded by horizon/period).
-	// Left empty under Stream collection, where finished jobs are
-	// recycled.
-	jobs []*Job
 	// src, when non-nil, drives releases instead of the periodic law;
 	// srcNext holds the already-pulled release the next evRelease
 	// event consumes (the 24-byte event record cannot carry per-
@@ -452,11 +437,8 @@ type Engine struct {
 
 	// scratch backs ReadyJobs between events.
 	scratch []*Job
-	// pool recycles Job records under Stream collection.
+	// pool recycles terminated Job records.
 	pool []*Job
-	// arena hands out retained Job records in chunks under Retain
-	// collection (the records live for the whole run anyway).
-	arena []Job
 
 	switches int64 // dispatch switches, for the overhead sweep
 
@@ -938,29 +920,18 @@ func (e *Engine) advance(t vtime.Time) {
 	e.now = t
 }
 
-// newJob returns a Job record: recycled from the pool under Stream
-// collection, carved from a chunked arena under Retain (where every
-// record is retained to the end of the run regardless).
+// newJob returns a Job record, recycled from the pool when one is free.
 func (e *Engine) newJob() *Job {
-	if e.stream {
-		if n := len(e.pool); n > 0 {
-			j := e.pool[n-1]
-			e.pool[n-1] = nil
-			e.pool = e.pool[:n-1]
-			return j
-		}
-		return &Job{}
+	if n := len(e.pool); n > 0 {
+		j := e.pool[n-1]
+		e.pool[n-1] = nil
+		e.pool = e.pool[:n-1]
+		return j
 	}
-	if len(e.arena) == 0 {
-		e.arena = make([]Job, 256)
-	}
-	j := &e.arena[0]
-	e.arena = e.arena[1:]
-	return j
+	return &Job{}
 }
 
 // recycle returns a terminated, fully dereferenced job to the pool.
-// Only called under Stream collection, where no history retains it.
 func (e *Engine) recycle(j *Job) {
 	e.pool = append(e.pool, j)
 }
@@ -993,24 +964,12 @@ func (e *Engine) release(ts *taskState, now vtime.Time) {
 		Actual:      ts.model.ActualCost(q, cost),
 		dlPos:       -1,
 	}
-	if !e.stream {
-		// Streaming keeps no per-job history: once a finished job
-		// leaves the pending queue, nothing references it and the
-		// record returns to the pool.
-		ts.jobs = append(ts.jobs, j)
-	}
 	e.Record(trace.Event{At: now, Kind: trace.JobRelease, Task: ts.task.Name, Job: q})
 	if !e.policy.Admit(e, j) {
-		j.dropped = true
-		j.done = true
-		j.missed = true
-		j.FinishedAt = now
 		// A shed job terminates incomplete at its release: record it
 		// as stopped so trace-based metrics count the failure.
 		e.Record(trace.Event{At: now, Kind: trace.JobStopped, Task: ts.task.Name, Job: q})
-		if e.stream {
-			e.recycle(j)
-		}
+		e.recycle(j)
 	} else {
 		wasIdle := ts.live() == 0
 		ts.pending = append(ts.pending, j)
@@ -1063,19 +1022,17 @@ func (e *Engine) finishIfDone(now vtime.Time) {
 
 // finishCore terminates core c's running job once it has consumed its
 // effective demand: it cancels the pending deadline check, consumes
-// the job from its task's queue, updates the ready queue, and (under
-// Stream collection) recycles the record after the hooks ran. On a
-// uniprocessor and under partitioned dispatch the running task sits in
-// its domain's ready queue and is rekeyed or removed there; under
-// global dispatch it was off the queue, and its next job, if any, now
-// waits on it.
+// the job from its task's queue, updates the ready queue, and recycles
+// the record after the hooks ran. On a uniprocessor and under
+// partitioned dispatch the running task sits in its domain's ready
+// queue and is rekeyed or removed there; under global dispatch it was
+// off the queue, and its next job, if any, now waits on it.
 func (e *Engine) finishCore(c int, now vtime.Time) {
 	j := e.running[c]
 	if j == nil || j.done || j.Executed < j.demand() {
 		return
 	}
 	j.done = true
-	j.FinishedAt = now
 	if j.dlPos >= 0 {
 		e.removeAt(j.dlPos)
 		e.freeSlot(j.slot)
@@ -1110,9 +1067,7 @@ func (e *Engine) finishCore(c int, now vtime.Time) {
 	if e.worst == c {
 		e.worst = -1
 	}
-	if e.stream {
-		e.recycle(j)
-	}
+	e.recycle(j)
 }
 
 // reschedule dispatches the best ready jobs and predicts completions:
@@ -1353,18 +1308,19 @@ func (e *Engine) readyRemove(ts *taskState) {
 	}
 }
 
-// JobAt returns task's job q and whether it exists. Under Stream
-// collection only live (released, unfinished) jobs resolve — a binary
-// search over the release-ordered pending queue. The contract is
-// therefore: a missing job is a terminated (or never-released) one,
-// and that holds from the very instant the job terminates — a query
-// issued by a callback at the job's own completion instant (a
-// detector check, an OnFinish/OnStopped hook, a same-tick timer)
-// already reports it missing, because finishIfDone consumes the job
-// from the pending queue before any hook runs. Callers must treat
-// missing as done, never as "not yet released"; the detectors and
-// D-over's watchdog do exactly that, and
+// JobAt returns task's job q and whether it is live: released and not
+// terminated, in either collection mode. Only live jobs resolve — a
+// binary search over the release-ordered pending queue. The contract
+// is therefore: a missing job is a terminated (or refused, or
+// never-released) one, and that holds from the very instant the job
+// terminates — a query issued by a callback at the job's own
+// completion instant (a detector check, an OnFinish/OnStopped hook, a
+// same-tick timer) already reports it missing, because finishIfDone
+// consumes the job from the pending queue before any hook runs.
+// Callers must treat missing as done, never as "not yet released";
+// the detectors and D-over's watchdog do exactly that, and
 // TestJobAtSameInstantCompletion pins the behaviour in both modes.
+// The returned *Job is valid until the job terminates: do not keep it.
 func (e *Engine) JobAt(task string, q int64) (*Job, bool) {
 	ts, ok := e.byName[task]
 	if !ok {
@@ -1395,38 +1351,21 @@ func (e *Engine) jobAt(ts *taskState, q int64) (*Job, bool) {
 	if q < 0 {
 		return nil, false
 	}
-	if e.stream {
-		// pending[phead:] is strictly increasing in Q (dropped jobs
-		// leave gaps, so index arithmetic alone cannot address it).
-		lo, hi := ts.phead, len(ts.pending)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if ts.pending[mid].Q < q {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
+	// pending[phead:] is strictly increasing in Q (refused jobs leave
+	// gaps, so index arithmetic alone cannot address it).
+	lo, hi := ts.phead, len(ts.pending)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if ts.pending[mid].Q < q {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
-		if lo < len(ts.pending) && ts.pending[lo].Q == q {
-			return ts.pending[lo], true
-		}
-		return nil, false
 	}
-	if q >= int64(len(ts.jobs)) {
-		return nil, false
+	if lo < len(ts.pending) && ts.pending[lo].Q == q {
+		return ts.pending[lo], true
 	}
-	return ts.jobs[q], true
-}
-
-// Jobs returns every job of the task released so far, in order. Under
-// Stream collection job history is not retained and Jobs returns nil;
-// use a metrics.Accumulator sink for summaries instead.
-func (e *Engine) Jobs(task string) []*Job {
-	ts, ok := e.byName[task]
-	if !ok || e.stream {
-		return nil
-	}
-	return ts.jobs
+	return nil, false
 }
 
 // TaskNames returns the names of all tasks ever added, in add order.

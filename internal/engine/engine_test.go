@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/fault"
+	"repro/internal/metrics"
 	"repro/internal/taskset"
 	"repro/internal/trace"
 	"repro/internal/vtime"
@@ -35,16 +36,40 @@ func run(t *testing.T, cfg Config) (*Engine, *trace.Log) {
 	return e, e.Run()
 }
 
+// runJobs runs a retained configuration and rebuilds its jobs from the
+// log: the engine keeps a Job only while it is live.
+func runJobs(t *testing.T, cfg Config) (*Engine, *trace.Log, *metrics.Report) {
+	t.Helper()
+	e, log := run(t, cfg)
+	return e, log, metrics.Analyze(log)
+}
+
+// job returns the log's record of task's job q, failing the test when
+// the log has none.
+func job(t *testing.T, rep *metrics.Report, task string, q int64) metrics.JobRecord {
+	t.Helper()
+	j, ok := rep.Job(task, q)
+	if !ok {
+		t.Fatalf("%s#%d not in the log", task, q)
+	}
+	return j
+}
+
+// ended reports whether the log shows the job terminating: a
+// completion, or a stop (a refused job stops at its release instant,
+// which may be 0).
+func ended(j metrics.JobRecord) bool { return j.Stopped || j.End != 0 }
+
 func TestFaultFreeTable2MeetsAllDeadlines(t *testing.T) {
-	e, _ := run(t, Config{Tasks: table2WithOffset(), End: at(3000)})
-	for _, name := range e.TaskNames() {
-		for _, j := range e.Jobs(name) {
-			if !j.Done() {
-				continue // cut off by the horizon
-			}
-			if j.Missed() {
-				t.Errorf("%s#%d missed its deadline in a fault-free feasible system (end %v)", name, j.Q, j.FinishedAt)
-			}
+	_, _, rep := runJobs(t, Config{Tasks: table2WithOffset(), End: at(3000)})
+	// Releases up to and including 3000 ms: tau1 at 0, 200, ..., 3000
+	// (16), tau2 at 0, 250, ..., 3000 (13), tau3 at 1000 and 2500.
+	if len(rep.Jobs) != 31 {
+		t.Fatalf("log holds %d jobs, want 31", len(rep.Jobs))
+	}
+	for _, j := range rep.Jobs {
+		if j.Failed() {
+			t.Errorf("%s#%d failed in a fault-free feasible system (end %v)", j.Task, j.Q, j.End)
 		}
 	}
 }
@@ -53,16 +78,16 @@ func TestFaultFreeTable2MeetsAllDeadlines(t *testing.T) {
 // (t = 1000 for all three tasks), completions chain exactly as the
 // response-time analysis predicts: 29, 58, 87 ms.
 func TestCriticalInstantResponseTimes(t *testing.T) {
-	e, _ := run(t, Config{Tasks: table2WithOffset(), End: at(1500)})
+	_, _, rep := runJobs(t, Config{Tasks: table2WithOffset(), End: at(1500)})
 	wantEnd := map[string]vtime.Time{"tau1": at(1029), "tau2": at(1058), "tau3": at(1087)}
 	wantQ := map[string]int64{"tau1": 5, "tau2": 4, "tau3": 0}
 	for name, end := range wantEnd {
-		j, ok := e.JobAt(name, wantQ[name])
-		if !ok || !j.Done() {
+		j := job(t, rep, name, wantQ[name])
+		if !ended(j) {
 			t.Fatalf("%s#%d did not finish", name, wantQ[name])
 		}
-		if j.FinishedAt != end {
-			t.Errorf("%s#%d finished at %v, want %v", name, wantQ[name], j.FinishedAt, end)
+		if j.End != end {
+			t.Errorf("%s#%d finished at %v, want %v", name, wantQ[name], j.End, end)
 		}
 	}
 }
@@ -70,22 +95,22 @@ func TestCriticalInstantResponseTimes(t *testing.T) {
 // TestFigure3Execution: the 40 ms overrun on τ1's job 5 without any
 // detection: τ1 and τ2 meet their deadlines, τ3 misses (paper §6.1).
 func TestFigure3Execution(t *testing.T) {
-	e, log := run(t, Config{
+	_, log, rep := runJobs(t, Config{
 		Tasks:  table2WithOffset(),
 		Faults: fault.Plan{"tau1": fault.OverrunAt{Job: 5, Extra: ms(40)}},
 		End:    at(1500),
 	})
-	j1, _ := e.JobAt("tau1", 5)
-	j2, _ := e.JobAt("tau2", 4)
-	j3, _ := e.JobAt("tau3", 0)
-	if j1.FinishedAt != at(1069) || j1.Missed() {
-		t.Errorf("tau1#5: finished %v missed=%v, want 1069ms met", j1.FinishedAt, j1.Missed())
+	j1 := job(t, rep, "tau1", 5)
+	j2 := job(t, rep, "tau2", 4)
+	j3 := job(t, rep, "tau3", 0)
+	if j1.End != at(1069) || j1.Failed() {
+		t.Errorf("tau1#5: finished %v failed=%v, want 1069ms met", j1.End, j1.Failed())
 	}
-	if j2.FinishedAt != at(1098) || j2.Missed() {
-		t.Errorf("tau2#4: finished %v missed=%v, want 1098ms met", j2.FinishedAt, j2.Missed())
+	if j2.End != at(1098) || j2.Failed() {
+		t.Errorf("tau2#4: finished %v failed=%v, want 1098ms met", j2.End, j2.Failed())
 	}
-	if j3.FinishedAt != at(1127) || !j3.Missed() {
-		t.Errorf("tau3#0: finished %v missed=%v, want 1127ms MISSED", j3.FinishedAt, j3.Missed())
+	if j3.End != at(1127) || !j3.Failed() {
+		t.Errorf("tau3#0: finished %v failed=%v, want 1127ms MISSED", j3.End, j3.Failed())
 	}
 	// The miss event is recorded at the deadline instant, 1120 ms.
 	misses := log.Filter(func(ev trace.Event) bool { return ev.Kind == trace.DeadlineMiss })
@@ -101,14 +126,12 @@ func TestPreemptionByHigherPriority(t *testing.T) {
 		taskset.Task{Name: "high", Priority: 2, Period: ms(100), Deadline: ms(100), Cost: ms(5), Offset: ms(3)},
 		taskset.Task{Name: "low", Priority: 1, Period: ms(100), Deadline: ms(100), Cost: ms(10)},
 	)
-	e, log := run(t, Config{Tasks: s, End: at(50)})
-	jl, _ := e.JobAt("low", 0)
-	jh, _ := e.JobAt("high", 0)
-	if jh.FinishedAt != at(8) {
-		t.Errorf("high finished %v, want 8ms", jh.FinishedAt)
+	_, log, rep := runJobs(t, Config{Tasks: s, End: at(50)})
+	if jh := job(t, rep, "high", 0); jh.End != at(8) {
+		t.Errorf("high finished %v, want 8ms", jh.End)
 	}
-	if jl.FinishedAt != at(15) {
-		t.Errorf("low finished %v, want 15ms", jl.FinishedAt)
+	if jl := job(t, rep, "low", 0); jl.End != at(15) {
+		t.Errorf("low finished %v, want 15ms", jl.End)
 	}
 	var kinds []trace.Kind
 	for _, ev := range log.TaskEvents("low") {
@@ -132,25 +155,20 @@ func TestBackToBackJobsQueue(t *testing.T) {
 		taskset.Task{Name: "tau1", Priority: 20, Period: ms(6), Deadline: ms(6), Cost: ms(3)},
 		taskset.Task{Name: "tau2", Priority: 15, Period: ms(4), Deadline: ms(6), Cost: ms(2)},
 	)
-	e, _ := run(t, Config{Tasks: s, End: at(24)})
+	_, _, rep := runJobs(t, Config{Tasks: s, End: at(24)})
 	// Expected completions of tau2 jobs (releases 0,4,8,12,...):
 	// q0: [3,5] → 5; q1: [5,6]+[9,10] → 10; q2: [10,12] → 12;
 	// q3 (rel 12): [15,17] → 17; q4 (rel 16): [17,18]+[21,22] → 22.
 	want := []vtime.Time{at(5), at(10), at(12), at(17), at(22)}
-	jobs := e.Jobs("tau2")
-	if len(jobs) < len(want) {
-		t.Fatalf("only %d tau2 jobs", len(jobs))
-	}
-	for i, w := range want {
-		if !jobs[i].Done() || jobs[i].FinishedAt != w {
-			t.Errorf("tau2#%d finished %v (done=%v), want %v", i, jobs[i].FinishedAt, jobs[i].Done(), w)
-		}
-	}
 	// Per-job responses 5,6,4,5,6 — max 6 = the analysis WCRT.
 	wantResp := []vtime.Duration{ms(5), ms(6), ms(4), ms(5), ms(6)}
-	for i, w := range wantResp {
-		if jobs[i].ResponseTime() != w {
-			t.Errorf("tau2#%d response %v, want %v", i, jobs[i].ResponseTime(), w)
+	for i, w := range want {
+		j := job(t, rep, "tau2", int64(i))
+		if !ended(j) || j.End != w {
+			t.Errorf("tau2#%d finished %v (ended=%v), want %v", i, j.End, ended(j), w)
+		}
+		if j.Response() != wantResp[i] {
+			t.Errorf("tau2#%d response %v, want %v", i, j.Response(), wantResp[i])
 		}
 	}
 }
@@ -166,12 +184,11 @@ func TestStopJobPollSemantics(t *testing.T) {
 	// Request a stop at t=10: the job has executed 10ms, next 4ms
 	// poll boundary is 12ms of executed work → stops at t=12.
 	e.Schedule(at(10), func(now vtime.Time) { e.StopJob("a", 0, now) })
-	e.Run()
-	j, _ := e.JobAt("a", 0)
-	if !j.Stopped() || j.FinishedAt != at(12) {
-		t.Errorf("job stopped=%v at %v, want stopped at 12ms", j.Stopped(), j.FinishedAt)
+	j := job(t, metrics.Analyze(e.Run()), "a", 0)
+	if !j.Stopped || j.End != at(12) {
+		t.Errorf("job stopped=%v at %v, want stopped at 12ms", j.Stopped, j.End)
 	}
-	if !j.Missed() {
+	if !j.Failed() {
 		t.Error("a stopped incomplete job counts as failed")
 	}
 }
@@ -182,10 +199,8 @@ func TestStopExactlyAtBoundaryIsImmediate(t *testing.T) {
 	)
 	e, _ := New(Config{Tasks: s, End: at(100), StopPoll: ms(5)})
 	e.Schedule(at(10), func(now vtime.Time) { e.StopJob("a", 0, now) })
-	e.Run()
-	j, _ := e.JobAt("a", 0)
-	if j.FinishedAt != at(10) {
-		t.Errorf("stop at a poll boundary must be immediate, got %v", j.FinishedAt)
+	if j := job(t, metrics.Analyze(e.Run()), "a", 0); !j.Stopped || j.End != at(10) {
+		t.Errorf("stop at a poll boundary must be immediate, got stopped=%v at %v", j.Stopped, j.End)
 	}
 }
 
@@ -195,10 +210,8 @@ func TestStopJitterAddsBoundedCost(t *testing.T) {
 	)
 	e, _ := New(Config{Tasks: s, End: at(100), StopPoll: ms(1), StopJitterMax: ms(3), Seed: 7})
 	e.Schedule(at(10), func(now vtime.Time) { e.StopJob("a", 0, now) })
-	e.Run()
-	j, _ := e.JobAt("a", 0)
-	if j.FinishedAt < at(10) || j.FinishedAt > at(13) {
-		t.Errorf("jittered stop at %v, want within [10ms,13ms]", j.FinishedAt)
+	if j := job(t, metrics.Analyze(e.Run()), "a", 0); !j.Stopped || j.End < at(10) || j.End > at(13) {
+		t.Errorf("jittered stop: stopped=%v at %v, want within [10ms,13ms]", j.Stopped, j.End)
 	}
 }
 
@@ -209,8 +222,7 @@ func TestStopFinishedJobIsNoOp(t *testing.T) {
 	e, _ := New(Config{Tasks: s, End: at(100)})
 	e.Schedule(at(50), func(now vtime.Time) { e.StopJob("a", 0, now) })
 	log := e.Run()
-	j, _ := e.JobAt("a", 0)
-	if j.Stopped() || j.Missed() || j.FinishedAt != at(5) {
+	if j := job(t, metrics.Analyze(log), "a", 0); j.Stopped || j.Failed() || j.End != at(5) {
 		t.Errorf("stop after completion must be a no-op: %+v", j)
 	}
 	if n := len(log.Filter(func(ev trace.Event) bool { return ev.Kind == trace.StopRequest })); n != 0 {
@@ -228,11 +240,10 @@ func TestStopPreemptedJob(t *testing.T) {
 	)
 	e, _ := New(Config{Tasks: s, End: at(100), StopPoll: ms(2)})
 	e.Schedule(at(8), func(now vtime.Time) { e.StopJob("low", 0, now) }) // low preempted since t=5
-	e.Run()
-	j, _ := e.JobAt("low", 0)
+	j := job(t, metrics.Analyze(e.Run()), "low", 0)
 	// low executed [0,5] = 5ms; limit = 6ms; resumes at 15, stops at 16.
-	if !j.Stopped() || j.FinishedAt != at(16) {
-		t.Errorf("preempted stop: stopped=%v at %v, want 16ms", j.Stopped(), j.FinishedAt)
+	if !j.Stopped || j.End != at(16) {
+		t.Errorf("preempted stop: stopped=%v at %v, want 16ms", j.Stopped, j.End)
 	}
 }
 
@@ -254,10 +265,9 @@ func TestContextSwitchOverheadCharged(t *testing.T) {
 	s := taskset.MustNew(
 		taskset.Task{Name: "a", Priority: 1, Period: ms(100), Deadline: ms(100), Cost: ms(10)},
 	)
-	e, _ := run(t, Config{Tasks: s, End: at(50), ContextSwitch: ms(1)})
-	j, _ := e.JobAt("a", 0)
-	if j.FinishedAt != at(11) {
-		t.Errorf("with 1ms dispatch overhead the job ends at %v, want 11ms", j.FinishedAt)
+	_, _, rep := runJobs(t, Config{Tasks: s, End: at(50), ContextSwitch: ms(1)})
+	if j := job(t, rep, "a", 0); j.End != at(11) {
+		t.Errorf("with 1ms dispatch overhead the job ends at %v, want 11ms", j.End)
 	}
 }
 
@@ -280,17 +290,18 @@ func TestDynamicAddAndRemove(t *testing.T) {
 	})
 	e.Schedule(at(500), func(now vtime.Time) { e.RemoveTask("b", now) })
 	log := e.Run()
-	jobs := e.Jobs("b")
+	rep := metrics.Analyze(log)
 	// b releases at 160, 260, 360, 460 then is removed before 560.
-	if len(jobs) != 4 {
-		t.Fatalf("b released %d jobs, want 4", len(jobs))
+	b := rep.Tasks["b"]
+	if b == nil || b.Released != 4 {
+		t.Fatalf("b summary %+v, want 4 released", b)
 	}
-	if jobs[0].Release != at(160) {
-		t.Errorf("b first release %v, want 160ms", jobs[0].Release)
+	if j := job(t, rep, "b", 0); j.Release != at(160) {
+		t.Errorf("b first release %v, want 160ms", j.Release)
 	}
-	for _, j := range jobs {
-		if !j.Done() || j.Missed() {
-			t.Errorf("b#%d should finish cleanly: %+v", j.Q, j)
+	for q := int64(0); q < 4; q++ {
+		if j := job(t, rep, "b", q); !ended(j) || j.Failed() {
+			t.Errorf("b#%d should finish cleanly: %+v", q, j)
 		}
 	}
 	added := log.Filter(func(ev trace.Event) bool { return ev.Kind == trace.TaskAdded })
@@ -327,15 +338,19 @@ func TestIdleTimeBetweenBursts(t *testing.T) {
 	// Cost 1ms, period 10ms: the processor idles 9ms per period; job
 	// k finishes exactly at 10k+1.
 	s := taskset.MustNew(taskset.Task{Name: "a", Priority: 1, Period: ms(10), Deadline: ms(10), Cost: ms(1)})
-	e, _ := run(t, Config{Tasks: s, End: at(100)})
-	for _, j := range e.Jobs("a") {
-		if !j.Done() {
-			continue
+	_, _, rep := runJobs(t, Config{Tasks: s, End: at(100)})
+	finished := 0
+	for _, j := range rep.Jobs {
+		if !ended(j) {
+			continue // the release at 100 ms is cut off by the horizon
 		}
-		want := j.Release.Add(ms(1))
-		if j.FinishedAt != want {
-			t.Errorf("a#%d finished %v, want %v", j.Q, j.FinishedAt, want)
+		finished++
+		if want := j.Release.Add(ms(1)); j.End != want {
+			t.Errorf("a#%d finished %v, want %v", j.Q, j.End, want)
 		}
+	}
+	if finished != 10 {
+		t.Errorf("checked %d finished jobs, want 10 (releases 0..90 ms)", finished)
 	}
 }
 
@@ -361,19 +376,43 @@ func TestFixedPriorityPolicyOrdering(t *testing.T) {
 }
 
 func TestJobAccessors(t *testing.T) {
-	e, _ := run(t, Config{Tasks: table2WithOffset(), End: at(100)})
-	j, ok := e.JobAt("tau1", 0)
-	if !ok {
-		t.Fatal("tau1#0 missing")
+	finished := 0
+	e, err := New(Config{Tasks: table2WithOffset(), End: at(100), Hooks: Hooks{
+		OnFinish: func(_ *Engine, j *Job) {
+			finished++
+			if j.Remaining() != 0 || !j.Done() {
+				t.Errorf("%s#%d finishing: remaining %v, done=%v", j.TaskName(), j.Q, j.Remaining(), j.Done())
+			}
+		},
+	}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if j.TaskName() != "tau1" || j.Task().Priority != 20 {
-		t.Error("job accessors wrong")
+	checked := false
+	e.Schedule(at(10), func(vtime.Time) {
+		j, ok := e.JobAt("tau1", 0)
+		if !ok {
+			t.Fatal("live tau1#0 missing")
+		}
+		if j.TaskName() != "tau1" || j.Task().Priority != 20 {
+			t.Error("job accessors wrong")
+		}
+		if j.Remaining() != ms(19) || j.Executed != ms(10) || j.Done() {
+			t.Errorf("tau1#0 at 10ms: remaining %v, executed %v, done=%v; want 19ms, 10ms, false", j.Remaining(), j.Executed, j.Done())
+		}
+		checked = true
+	})
+	e.Run()
+	if !checked {
+		t.Fatal("the live-job check never ran")
 	}
-	if j.Remaining() != 0 {
-		t.Errorf("finished job remaining = %v", j.Remaining())
+	// tau1#0 ends at 29, tau2#0 at 58, tau1#0's successor is released
+	// at 200: two jobs finish within the horizon.
+	if finished != 2 {
+		t.Errorf("OnFinish fired %d times, want 2", finished)
 	}
-	if j.Dropped() {
-		t.Error("job was not dropped")
+	if _, ok := e.JobAt("tau1", 0); ok {
+		t.Error("a finished job must not resolve")
 	}
 	if _, ok := e.JobAt("nope", 0); ok {
 		t.Error("unknown task lookup must fail")
@@ -396,16 +435,29 @@ func TestPolicyAdmitDropsJobs(t *testing.T) {
 		taskset.Task{Name: "keep", Priority: 2, Period: ms(10), Deadline: ms(10), Cost: ms(1)},
 		taskset.Task{Name: "shed", Priority: 1, Period: ms(10), Deadline: ms(10), Cost: ms(1)},
 	)
-	e, _ := run(t, Config{Tasks: s, End: at(50), Policy: shedPolicy{}})
-	for _, j := range e.Jobs("shed") {
-		if !j.Dropped() || !j.Missed() {
-			t.Errorf("shed#%d should be dropped and counted failed", j.Q)
+	e, log, rep := runJobs(t, Config{Tasks: s, End: at(50), Policy: shedPolicy{}})
+	// Both tasks release at 0, 10, ..., 50 ms. A refused job stops at
+	// its release instant and never begins.
+	for _, name := range []string{"keep", "shed"} {
+		if sum := rep.Tasks[name]; sum == nil || sum.Released != 6 {
+			t.Fatalf("%s summary %+v, want 6 released", name, sum)
 		}
 	}
-	for _, j := range e.Jobs("keep") {
-		if j.Dropped() {
-			t.Errorf("keep#%d wrongly dropped", j.Q)
+	for q := int64(0); q < 6; q++ {
+		if j := job(t, rep, "shed", q); !j.Stopped || j.End != j.Release || !j.Failed() {
+			t.Errorf("shed#%d should be refused at its release and counted failed: %+v", q, j)
 		}
+		if j := job(t, rep, "keep", q); j.Stopped || j.Failed() {
+			t.Errorf("keep#%d wrongly refused: %+v", q, j)
+		}
+	}
+	for _, ev := range log.TaskEvents("shed") {
+		if ev.Kind == trace.JobBegin {
+			t.Errorf("refused job shed#%d began at %v", ev.Job, ev.At)
+		}
+	}
+	if _, ok := e.JobAt("shed", 5); ok {
+		t.Error("a refused job must not resolve")
 	}
 	if e.PolicyName() != "shed-test" {
 		t.Errorf("PolicyName = %q", e.PolicyName())
@@ -422,12 +474,27 @@ func TestConservationOfCPU(t *testing.T) {
 			t.Fatal(err)
 		}
 		horizon := ms(2000)
-		e, _ := run(t, Config{Tasks: s, End: vtime.Time(horizon)})
 		var total vtime.Duration
-		for _, name := range e.TaskNames() {
-			for _, j := range e.Jobs(name) {
-				total += j.Executed
-			}
+		terminated := 0
+		count := func(_ *Engine, j *Job) {
+			terminated++
+			total += j.Executed
+		}
+		e, log := run(t, Config{Tasks: s, End: vtime.Time(horizon), Hooks: Hooks{OnFinish: count, OnStopped: count}})
+		// Only a task's head job has executed; the rest of a backlog
+		// has not begun.
+		for _, j := range e.ReadyJobs() {
+			total += j.Executed
+		}
+		ends := log.Filter(func(ev trace.Event) bool { return ev.Kind == trace.JobEnd || ev.Kind == trace.JobStopped })
+		releases := log.Filter(func(ev trace.Event) bool { return ev.Kind == trace.JobRelease })
+		live := 0
+		for _, ts := range e.tasks {
+			live += ts.live()
+		}
+		if terminated == 0 || terminated != len(ends) || terminated+live != len(releases) {
+			t.Fatalf("trial %d: hooks saw %d terminations and %d jobs are live; log has %d terminations of %d releases",
+				trial, terminated, live, len(ends), len(releases))
 		}
 		if total > horizon {
 			t.Fatalf("trial %d: executed %v exceeds horizon %v", trial, total, horizon)
@@ -466,16 +533,24 @@ func TestSimulationMatchesAnalysis(t *testing.T) {
 			continue
 		}
 		tested++
-		e, _ := run(t, Config{Tasks: s, End: vtime.Time(2 * hyper)})
+		_, _, rep := runJobs(t, Config{Tasks: s, End: vtime.Time(2 * hyper)})
+		finished := make([]int, s.Len())
+		for _, j := range rep.Jobs {
+			if !ended(j) {
+				continue
+			}
+			i := s.IndexByName(j.Task)
+			finished[i]++
+			if j.Response() > wcrts[i] {
+				t.Fatalf("trial %d: %s#%d response %v exceeds analytic WCRT %v",
+					trial, j.Task, j.Q, j.Response(), wcrts[i])
+			}
+		}
 		for i, task := range s.Tasks {
-			for _, j := range e.Jobs(task.Name) {
-				if !j.Done() {
-					continue
-				}
-				if j.ResponseTime() > wcrts[i] {
-					t.Fatalf("trial %d: %s#%d response %v exceeds analytic WCRT %v",
-						trial, task.Name, j.Q, j.ResponseTime(), wcrts[i])
-				}
+			// The horizon spans two hyperperiods, so every task finishes
+			// at least two jobs.
+			if finished[i] < 2 {
+				t.Fatalf("trial %d: checked %d finished jobs of %s, want at least 2", trial, finished[i], task.Name)
 			}
 		}
 	}
@@ -523,13 +598,15 @@ func TestWorkConservation(t *testing.T) {
 	// whole horizon (minus any final open burst, closed at End by
 	// the engine's bookkeeping — jobs still running contribute via
 	// Executed instead).
+	// Only a task's head job has executed; both tasks release their
+	// next jobs at the horizon.
 	var running vtime.Duration
-	for _, name := range e.TaskNames() {
-		for _, j := range e.Jobs(name) {
-			if !j.Done() {
-				running += j.Executed
-			}
-		}
+	heads := e.ReadyJobs()
+	if len(heads) != 2 {
+		t.Fatalf("%d live head jobs at the horizon, want 2", len(heads))
+	}
+	for _, j := range heads {
+		running += j.Executed
 	}
 	got := total + running
 	if got < ms(119) {

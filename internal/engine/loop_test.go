@@ -93,6 +93,8 @@ func TestHeapBoundedByLiveWork(t *testing.T) {
 		{"global-c8", Config{Tasks: globalSet(t), CPUs: 8, End: at(20_000)}, 2 * 80},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			records := map[*Job]bool{}
+			tc.cfg.Hooks.OnRelease = func(_ *Engine, j *Job) { records[j] = true }
 			e, _ := run(t, tc.cfg)
 			live := 0
 			for _, ts := range e.tasks {
@@ -108,6 +110,10 @@ func TestHeapBoundedByLiveWork(t *testing.T) {
 			// jobs.
 			if len(e.jobSlots) > tc.maxSlots {
 				t.Errorf("jobSlots grew to %d entries over %d releases", len(e.jobSlots), e.tasks[0].nextQ)
+			}
+			// So are the Job records the releases draw from the pool.
+			if len(records) > tc.maxSlots {
+				t.Errorf("releases used %d distinct Job records over %d releases of %s", len(records), e.tasks[0].nextQ, e.tasks[0].task.Name)
 			}
 		})
 	}
@@ -139,42 +145,46 @@ func TestReadyJobsReusesScratch(t *testing.T) {
 	}
 }
 
-// TestJobAtStreamBinarySearch: under Stream, JobAt must resolve any
-// live job of a deep backlog (and reject absent indices) — the
-// indexed replacement for the linear pending scan.
+// TestJobAtStreamBinarySearch: JobAt must resolve any live job of a
+// deep backlog (and reject absent indices) — the indexed replacement
+// for the linear pending scan, the same in both collection modes.
 func TestJobAtStreamBinarySearch(t *testing.T) {
 	// An overloaded low-priority task accumulates a long backlog.
 	set := taskset.MustNew(
 		taskset.Task{Name: "hog", Priority: 10, Period: ms(10), Deadline: ms(10), Cost: ms(9)},
 		taskset.Task{Name: "bg", Priority: 5, Period: ms(30), Deadline: ms(3000), Cost: ms(20)},
 	)
-	e, err := New(Config{Tasks: set, End: at(3000), Collect: Stream, Sink: trace.Discard})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checked := false
-	e.Schedule(at(2900), func(now vtime.Time) {
-		ts := e.byName["bg"]
-		if ts.live() < 10 {
-			t.Fatalf("backlog too small for the test: %d", ts.live())
-		}
-		lo, hi := ts.head().Q, ts.pending[len(ts.pending)-1].Q
-		for q := lo; q <= hi; q++ {
-			j, ok := e.JobAt("bg", q)
-			if !ok || j.Q != q {
-				t.Fatalf("live job bg#%d not resolved (ok=%v)", q, ok)
+	for _, m := range modes {
+		t.Run(m.name, func(t *testing.T) {
+			e, err := New(Config{Tasks: set, End: at(3000), Collect: m.mode, Sink: trace.Discard})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if _, ok := e.JobAt("bg", lo-1); lo > 0 && ok {
-			t.Error("consumed job must not resolve under Stream")
-		}
-		if _, ok := e.JobAt("bg", hi+1); ok {
-			t.Error("unreleased job must not resolve")
-		}
-		checked = true
-	})
-	e.Run()
-	if !checked {
-		t.Fatal("backlog check never ran")
+			checked := false
+			e.Schedule(at(2900), func(now vtime.Time) {
+				ts := e.byName["bg"]
+				if ts.live() < 10 {
+					t.Fatalf("backlog too small for the test: %d", ts.live())
+				}
+				lo, hi := ts.head().Q, ts.pending[len(ts.pending)-1].Q
+				for q := lo; q <= hi; q++ {
+					j, ok := e.JobAt("bg", q)
+					if !ok || j.Q != q {
+						t.Fatalf("live job bg#%d not resolved (ok=%v)", q, ok)
+					}
+				}
+				if _, ok := e.JobAt("bg", lo-1); lo > 0 && ok {
+					t.Error("consumed job must not resolve")
+				}
+				if _, ok := e.JobAt("bg", hi+1); ok {
+					t.Error("unreleased job must not resolve")
+				}
+				checked = true
+			})
+			e.Run()
+			if !checked {
+				t.Fatal("backlog check never ran")
+			}
+		})
 	}
 }

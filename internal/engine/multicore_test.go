@@ -30,7 +30,7 @@ func kinds(log *trace.Log, k trace.Kind) []trace.Event {
 }
 
 func TestGlobalDispatchRunsTwoJobsInParallel(t *testing.T) {
-	e, log := run(t, Config{Tasks: threeForTwoCores(), End: at(100), CPUs: 2})
+	_, log, rep := runJobs(t, Config{Tasks: threeForTwoCores(), End: at(100), CPUs: 2})
 	// t=0: hi begins on core 0, mid on core 1 — in policy-rank order.
 	begins := kinds(log, trace.JobBegin)
 	if len(begins) < 2 {
@@ -42,12 +42,14 @@ func TestGlobalDispatchRunsTwoJobsInParallel(t *testing.T) {
 	if begins[1].Task != "mid" || begins[1].Arg != 1 {
 		t.Errorf("second begin = %+v, want mid on core 1", begins[1])
 	}
-	// With 140 ms of work on two cores nothing misses in 100 ms.
-	for _, name := range e.TaskNames() {
-		for _, j := range e.Jobs(name) {
-			if j.Done() && j.Missed() {
-				t.Errorf("%s#%d missed on a 2-core platform", name, j.Q)
-			}
+	// With 140 ms of work on two cores nothing misses in 100 ms. The
+	// log holds hi#0..2 (released at 0, 50, 100), mid#0 and lo#0.
+	if len(rep.Jobs) != 5 {
+		t.Fatalf("log holds %d jobs, want 5", len(rep.Jobs))
+	}
+	for _, j := range rep.Jobs {
+		if j.Failed() {
+			t.Errorf("%s#%d failed on a 2-core platform", j.Task, j.Q)
 		}
 	}
 }
@@ -77,7 +79,7 @@ func TestPartitionedDispatchPinsTasks(t *testing.T) {
 	// hi+lo pinned to core 0, mid to core 1: lo waits behind hi on
 	// core 0 even while core 1 idles after mid completes, and nothing
 	// ever migrates.
-	e, log := run(t, Config{
+	_, log, rep := runJobs(t, Config{
 		Tasks:     threeForTwoCores(),
 		End:       at(200),
 		CPUs:      2,
@@ -97,9 +99,8 @@ func TestPartitionedDispatchPinsTasks(t *testing.T) {
 	}
 	// lo still completes (300 ms of pinned work fits a 200 ms horizon
 	// on core 0: hi uses 20/50ms, leaving 30 ms/period for lo).
-	jobs := e.Jobs("lo")
-	if len(jobs) == 0 || !jobs[0].Done() || jobs[0].Missed() {
-		t.Errorf("lo#0 did not complete cleanly on its pinned core: %+v", jobs)
+	if j := job(t, rep, "lo", 0); !ended(j) || j.Failed() {
+		t.Errorf("lo#0 did not complete cleanly on its pinned core: %+v", j)
 	}
 }
 

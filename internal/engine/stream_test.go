@@ -36,37 +36,82 @@ func TestStreamEmitsIdenticalEvents(t *testing.T) {
 	}
 }
 
-// TestStreamRecyclesJobs: under Stream no job history survives —
-// Jobs is nil, JobAt resolves live jobs only — while live jobs stay
+// modes names the collection modes for table-driven tests.
+var modes = []struct {
+	name string
+	mode Collect
+}{{"retain", Retain}, {"stream", Stream}}
+
+// TestStreamRecyclesJobs: in both collection modes no finished job
+// survives — JobAt resolves live jobs only — while live jobs stay
 // reachable for the detectors' StopJob path.
 func TestStreamRecyclesJobs(t *testing.T) {
-	sawLive := false
-	cfg := Config{
-		Tasks:   table2WithOffset(),
-		End:     at(3000),
-		Collect: Stream,
-		Hooks: Hooks{
-			OnRelease: func(e *Engine, j *Job) {
-				if jj, ok := e.JobAt(j.TaskName(), j.Q); ok && jj == j {
-					sawLive = true
+	for _, m := range modes {
+		t.Run(m.name, func(t *testing.T) {
+			live := 0
+			cfg := Config{
+				Tasks:   table2WithOffset(),
+				End:     at(3000),
+				Collect: m.mode,
+				Hooks: Hooks{
+					OnRelease: func(e *Engine, j *Job) {
+						if jj, ok := e.JobAt(j.TaskName(), j.Q); ok && jj == j {
+							live++
+						}
+					},
+				},
+			}
+			e, _ := run(t, cfg)
+			// Every release up to 3000 ms resolves while live: 16 of
+			// tau1, 13 of tau2, 2 of tau3.
+			if live != 31 {
+				t.Errorf("%d released jobs resolved through JobAt while live, want 31", live)
+			}
+			for _, name := range e.TaskNames() {
+				if _, ok := e.JobAt(name, 0); ok {
+					t.Errorf("finished job %s#0 still resolves", name)
 				}
-			},
-		},
+			}
+		})
 	}
-	e, _ := run(t, cfg)
-	if !sawLive {
-		t.Error("live jobs must resolve through JobAt while pending")
-	}
-	if jobs := e.Jobs("tau1"); jobs != nil {
-		t.Errorf("Jobs must be nil under Stream, got %d jobs", len(jobs))
-	}
-	if _, ok := e.JobAt("tau1", 0); ok {
-		t.Error("finished jobs must not resolve under Stream")
-	}
-	for _, ts := range e.tasks {
-		if len(ts.jobs) != 0 {
-			t.Errorf("%s retained %d job records under Stream", ts.task.Name, len(ts.jobs))
-		}
+}
+
+// TestJobRecordsBoundedByLiveBacklog: in both collection modes the
+// engine hands out Job records from its pool, so a long run touches
+// about as many distinct records as were ever live at once, not one
+// per released job.
+func TestJobRecordsBoundedByLiveBacklog(t *testing.T) {
+	for _, m := range modes {
+		t.Run(m.name, func(t *testing.T) {
+			seen := map[*Job]bool{}
+			released, peak := 0, 0
+			cfg := Config{
+				Tasks:   table2WithOffset(),
+				Faults:  fault.Plan{"tau1": fault.OverrunEvery{First: 1, K: 3, Extra: ms(45)}},
+				End:     at(600_000),
+				Collect: m.mode,
+				Sink:    trace.Discard,
+				Hooks: Hooks{
+					OnRelease: func(e *Engine, j *Job) {
+						released++
+						seen[j] = true
+						live := 0
+						for _, ts := range e.tasks {
+							live += ts.live()
+						}
+						peak = max(peak, live)
+					},
+				},
+			}
+			run(t, cfg)
+			// 3001 + 2401 + 400 releases over ten minutes.
+			if released != 5802 {
+				t.Fatalf("saw %d releases, want 5802", released)
+			}
+			if len(seen) > peak+64 {
+				t.Errorf("%d distinct Job records over %d releases, want at most the peak backlog %d + 64", len(seen), released, peak)
+			}
+		})
 	}
 }
 
@@ -158,42 +203,33 @@ func TestRetainSinkTees(t *testing.T) {
 
 // TestJobAtSameInstantCompletion pins JobAt's terminated-job
 // contract at the trickiest instant — a query from the OnFinish hook,
-// i.e. the very tick the job completes. Under Stream the job has
-// already left the pending queue (and is about to be recycled), so it
-// must report missing; under Retain the full history resolves it and
-// shows it done. Either way, "missing or done" is what a same-instant
-// caller (a detector firing at the completion tick) must treat as
-// "finished in time".
+// i.e. the very tick the job completes. In both collection modes the
+// job has already left the pending queue (and is about to be
+// recycled), so it must report missing: what a same-instant caller (a
+// detector firing at the completion tick) must treat as "finished in
+// time".
 func TestJobAtSameInstantCompletion(t *testing.T) {
-	for _, mode := range []Collect{Retain, Stream} {
-		mode := mode
-		name := map[Collect]string{Retain: "retain", Stream: "stream"}[mode]
-		t.Run(name, func(t *testing.T) {
-			queried := false
+	for _, m := range modes {
+		t.Run(m.name, func(t *testing.T) {
+			queried := 0
 			cfg := Config{
 				Tasks:   table2WithOffset(),
 				End:     at(3000),
-				Collect: mode,
+				Collect: m.mode,
 				Hooks: Hooks{
 					OnFinish: func(e *Engine, j *Job) {
-						queried = true
-						jj, ok := e.JobAt(j.TaskName(), j.Q)
-						switch mode {
-						case Stream:
-							if ok {
-								t.Errorf("%s#%d: JobAt resolved a job that completed this instant under Stream", j.TaskName(), j.Q)
-							}
-						case Retain:
-							if !ok || jj != j || !jj.Done() {
-								t.Errorf("%s#%d: JobAt under Retain = (%v, %v), want the done job", j.TaskName(), j.Q, jj, ok)
-							}
+						queried++
+						if _, ok := e.JobAt(j.TaskName(), j.Q); ok {
+							t.Errorf("%s#%d: JobAt resolved a job that completed this instant", j.TaskName(), j.Q)
 						}
 					},
 				},
 			}
 			run(t, cfg)
-			if !queried {
-				t.Fatal("OnFinish never fired")
+			// Every job released before the horizon finishes: 15 of
+			// tau1, 12 of tau2, 2 of tau3.
+			if queried != 29 {
+				t.Fatalf("OnFinish fired %d times, want 29", queried)
 			}
 		})
 	}

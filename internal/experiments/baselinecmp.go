@@ -58,7 +58,6 @@ func BaselineComparisonCtx(ctx context.Context, extra vtime.Duration, horizon vt
 			Tasks:   FigureSet(),
 			Faults:  faults,
 			Horizon: horizon,
-			Collect: opt.collect(),
 		}
 		name := "fp+detectors(stop)"
 		if p == nil {

@@ -14,7 +14,6 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/detect"
-	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/metrics"
 	"repro/internal/runner"
@@ -33,22 +32,6 @@ type RunOptions struct {
 	Parallelism int
 	// Progress, when non-nil, observes completed-simulation counts.
 	Progress func(done, total int)
-	// Stream runs each simulation with streaming collection
-	// (engine.Stream): bounded memory per simulation, identical
-	// rendered artefacts — the sweeps consume only task-summary
-	// counts, which streaming reproduces exactly. Honoured by the
-	// sweeps that need no job-level records or trace: X2 and X4.
-	// X1 measures trace size and X3 reads per-job records, so they
-	// always retain.
-	Stream bool
-}
-
-// collect maps the option to the engine's collection mode.
-func (o RunOptions) collect() engine.Collect {
-	if o.Stream {
-		return engine.Stream
-	}
-	return engine.Retain
 }
 
 func (o RunOptions) pool() runner.Options {
@@ -362,7 +345,6 @@ func FaultMagnitudeSweepCtx(ctx context.Context, maxExtra, step vtime.Duration, 
 			Faults:          fault.Plan{"tau1": fault.OverrunAt{Job: FaultyJob, Extra: j.extra}},
 			Horizon:         FigureHorizon,
 			TimerResolution: detect.DefaultTimerResolution,
-			Collect:         opt.collect(),
 		})
 		if err != nil {
 			return SweepPoint{}, err

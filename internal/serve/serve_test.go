@@ -729,3 +729,57 @@ func TestFastForwardServed(t *testing.T) {
 		t.Errorf("a refused run was answered from the cache: %d hits, %d runs for 2 requests", m.CacheHits, m.SimulationsRun)
 	}
 }
+
+// TestSignedSubMillisecondDurationsMiss: two documents that differ
+// only in the sign of a sub-millisecond interference start get
+// different digests, so the second, posted after the first to the
+// same server, misses the cache and is answered with its own report.
+func TestSignedSubMillisecondDurationsMiss(t *testing.T) {
+	doc := func(from string) []byte {
+		return []byte(`{
+  "name": "signed-from",
+  "tasks": [
+    {"name": "tau1", "priority": 20, "period": "200ms", "deadline": "70ms", "cost": "29ms"},
+    {"name": "tau2", "priority": 18, "period": "250ms", "deadline": "120ms", "cost": "29ms"}
+  ],
+  "faults": [
+    {"task": "tau1", "kind": "interference", "extra": "10ms", "from": "` + from + `", "to": "300ms"}
+  ],
+  "horizon": "1000ms"
+}`)
+	}
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	first := post(t, s, "/v1/simulate?format=report", doc("-0.5ms"))
+	if first.Code != http.StatusOK {
+		t.Fatalf("first document: status %d: %s", first.Code, first.Body.String())
+	}
+	second := post(t, s, "/v1/simulate?format=report", doc("0.5ms"))
+	if second.Code != http.StatusOK {
+		t.Fatalf("second document: status %d: %s", second.Code, second.Body.String())
+	}
+	if cs := second.Header().Get("X-Cache"); cs != "miss" {
+		t.Errorf("second document: X-Cache %q, want miss", cs)
+	}
+	if d1, d2 := first.Header().Get("X-Scenario-Digest"), second.Header().Get("X-Scenario-Digest"); d1 == d2 {
+		t.Errorf("both documents digest to %s", d1)
+	}
+	sc, err := scenario.Decode(bytes.NewReader(doc("0.5ms")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := sim.FromScenario(*sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sys.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := second.Body.String(), res.Summary(); got != want {
+		t.Errorf("second document's report differs from a fresh run:\n got %s\nwant %s", got, want)
+	}
+	if first.Body.String() == second.Body.String() {
+		t.Error("the two documents' reports are identical, though tau1#0 meets interference in only the first")
+	}
+}

@@ -127,20 +127,23 @@ func (t Time) String() string {
 	return Duration(t).String()
 }
 
-// String renders the duration in milliseconds, e.g. "29ms", "1.5ms".
+// String renders the duration in milliseconds, e.g. "29ms", "1.5ms",
+// "-0.5ms"; ParseDuration reads it back exactly.
 func (d Duration) String() string {
 	ms := int64(d) / int64(Millisecond)
 	frac := int64(d) % int64(Millisecond)
 	if frac == 0 {
 		return strconv.FormatInt(ms, 10) + "ms"
 	}
-	if frac < 0 {
-		frac = -frac
+	sign := ""
+	if d < 0 {
+		// Negate the parts, not d: -d overflows at math.MinInt64.
+		sign, ms, frac = "-", -ms, -frac
 	}
 	s := strconv.FormatInt(frac, 10)
 	s = strings.Repeat("0", 6-len(s)) + s
 	s = strings.TrimRight(s, "0")
-	return fmt.Sprintf("%d.%sms", ms, s)
+	return fmt.Sprintf("%s%d.%sms", sign, ms, s)
 }
 
 // ParseDuration parses a duration written with one of the suffixes

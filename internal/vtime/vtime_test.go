@@ -1,6 +1,7 @@
 package vtime
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -166,6 +167,35 @@ func TestParseFormatsRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNegativeStringRoundTrip: a negative duration keeps its sign in
+// String even when it is shorter than a millisecond, so ParseDuration
+// reads back exactly what was written (scenario encodings and digests
+// are built from String).
+func TestNegativeStringRoundTrip(t *testing.T) {
+	cases := map[Duration]string{
+		Nanos(-1):                  "-0.000001ms",
+		-Micros(500):               "-0.5ms",
+		-(Millis(1) + Micros(500)): "-1.5ms",
+		Millis(-3):                 "-3ms",
+		math.MinInt64:              "-9223372036854.775808ms",
+	}
+	for d, want := range cases {
+		if got := d.String(); got != want {
+			t.Errorf("%d.String() = %q, want %q", d, got, want)
+		}
+		twins := []Duration{d, -d}
+		if d == math.MinInt64 {
+			twins = twins[:1] // no positive twin
+		}
+		for _, d := range twins {
+			back, err := ParseDuration(d.String())
+			if err != nil || back != d {
+				t.Errorf("ParseDuration(%q) = %d, %v; want %d", d.String(), back, err, d)
+			}
+		}
 	}
 }
 

@@ -13,11 +13,6 @@ type RunOptions struct {
 	Parallelism int
 	// Progress, when non-nil, observes completed-simulation counts.
 	Progress func(done, total int)
-	// Stream runs each simulation with streaming collection (bounded
-	// memory, identical rendered artefacts). Honoured by the sweeps
-	// that consume only task-summary counts (x2, x4); ignored by
-	// sweeps needing job records or the trace (x1, x3).
-	Stream bool
 }
 
 // Result is one experiment artefact in both machine and human form.

@@ -14,7 +14,7 @@ import (
 // byte-identical to the direct calls (pinned by TestRegistryMatchesDirectCalls).
 
 func (o RunOptions) internal() experiments.RunOptions {
-	return experiments.RunOptions{Parallelism: o.Parallelism, Progress: o.Progress, Stream: o.Stream}
+	return experiments.RunOptions{Parallelism: o.Parallelism, Progress: o.Progress}
 }
 
 func init() {

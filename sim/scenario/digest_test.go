@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -109,5 +110,57 @@ func TestDigestFormatIndependent(t *testing.T) {
 	}
 	if changed == want {
 		t.Error("semantically different scenario produced the same digest")
+	}
+}
+
+// signedFromDoc is a two-task scenario whose interference fault starts
+// at from: "-0.5ms" covers tau1's job released at 0, "0.5ms" does not.
+func signedFromDoc(from string) string {
+	return `{
+  "name": "signed-from",
+  "tasks": [
+    {"name": "tau1", "priority": 20, "period": "200ms", "deadline": "70ms", "cost": "29ms"},
+    {"name": "tau2", "priority": 18, "period": "250ms", "deadline": "120ms", "cost": "29ms"}
+  ],
+  "faults": [
+    {"task": "tau1", "kind": "interference", "extra": "10ms", "from": "` + from + `", "to": "300ms"}
+  ],
+  "horizon": "1000ms"
+}`
+}
+
+// TestNegativeSubMillisecondDigest: a negative duration shorter than a
+// millisecond keeps its sign through Marshal and Digest, so two
+// scenarios that differ only in that sign get different cache keys,
+// and each survives a Marshal/Decode round trip unchanged.
+func TestNegativeSubMillisecondDigest(t *testing.T) {
+	var digests []string
+	for _, from := range []string{"-0.5ms", "0.5ms"} {
+		sc, err := Decode(strings.NewReader(signedFromDoc(from)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := sc.Digest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := Marshal(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := Decode(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := back.Faults[0].From.String(); got != from {
+			t.Errorf("from %q reads back as %q after Marshal and Decode", from, got)
+		}
+		if d2, err := back.Digest(); err != nil || d2 != d {
+			t.Errorf("from %q: digest %s after Marshal and Decode, %s before (%v)", from, d2, d, err)
+		}
+		digests = append(digests, d)
+	}
+	if digests[0] == digests[1] {
+		t.Errorf("from -0.5ms and 0.5ms share digest %s", digests[0])
 	}
 }
