@@ -11,12 +11,15 @@ build:
 	$(GO) build ./...
 	$(GO) build ./examples/...
 
-# Run every example from the repo root, where they find testdata/;
-# any non-zero exit fails (examples/scenario exits non-zero when its
-# literal and loaded runs trace differently).
+# Run every example from the repo root, where they find testdata/, and
+# diff its stdout against testdata/goldens/examples/<name>.txt; a
+# non-zero exit or any difference fails (examples/scenario exits
+# non-zero when its literal and loaded runs trace differently).
 examples-smoke:
-	@for d in examples/*/; do \
-		$(GO) run "./$$d" > /dev/null || { echo "examples-smoke: $$d failed" >&2; exit 1; }; \
+	@set -o pipefail; for d in examples/*/; do \
+		n=$$(basename "$$d"); \
+		$(GO) run "./$$d" | diff -u "testdata/goldens/examples/$$n.txt" - \
+			|| { echo "examples-smoke: $$d failed or its output differs from testdata/goldens/examples/$$n.txt" >&2; exit 1; }; \
 	done
 
 test:

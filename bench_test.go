@@ -336,7 +336,7 @@ func BenchmarkDynamicAdmission(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		e, err := engine.New(engine.Config{Tasks: base, End: vtime.AtMillis(2000), Hooks: sup.Hooks()})
+		e, err := engine.New(engine.Config{Tasks: base, End: vtime.AtMillis(2000), Sink: trace.NewLog(), Hooks: sup.Hooks()})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -445,11 +445,12 @@ type countingSink struct{ n int64 }
 func (c *countingSink) Append(trace.Event) { c.n++ }
 
 // engineThroughput drives 30 simulated seconds of the Table 2 system
-// with detectors and a recurring fault in the given collection mode
+// with detectors and a recurring fault, retaining every event in a
+// trace.Log that is the engine's only sink, as in a retained core run,
 // and reports events_per_sec over the event loop alone (setup — the
 // admission-control analysis building the supervisor — is a different
 // subsystem and is reported only through ns/op).
-func engineThroughput(b *testing.B, mode engine.Collect) {
+func engineThroughput(b *testing.B) {
 	var events int64
 	var loop time.Duration
 	for i := 0; i < b.N; i++ {
@@ -459,14 +460,13 @@ func engineThroughput(b *testing.B, mode engine.Collect) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		sink := &countingSink{}
+		log := trace.NewLog()
 		e, err := engine.New(engine.Config{
-			Tasks:   experiments.FigureSet(),
-			Faults:  fault.Plan{"tau1": fault.OverrunEvery{First: 1, K: 3, Extra: ms(45)}},
-			End:     vtime.Time(30 * vtime.Second),
-			Collect: mode,
-			Sink:    sink,
-			Hooks:   sup.Hooks(),
+			Tasks:  experiments.FigureSet(),
+			Faults: fault.Plan{"tau1": fault.OverrunEvery{First: 1, K: 3, Extra: ms(45)}},
+			End:    vtime.Time(30 * vtime.Second),
+			Sink:   log,
+			Hooks:  sup.Hooks(),
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -475,7 +475,7 @@ func engineThroughput(b *testing.B, mode engine.Collect) {
 		t0 := time.Now()
 		e.Run()
 		loop += time.Since(t0)
-		events = sink.n
+		events = int64(log.Len())
 	}
 	b.ReportAllocs()
 	b.ReportMetric(float64(events), "trace_events")
@@ -484,8 +484,9 @@ func engineThroughput(b *testing.B, mode engine.Collect) {
 
 // engineThroughputCores drives 30 simulated seconds of a seeded
 // 10·cores-task set (utilization 0.55 per core, 10–100ms periods) on
-// the bare engine with M cores under global dispatch, in streaming
-// collection, and reports events_per_sec over the event loop alone.
+// the bare engine with M cores under global dispatch, counting events
+// in a sink that keeps none, and reports events_per_sec over the event
+// loop alone.
 // One fixed seed per core count keeps every size comparable across
 // commits.
 func engineThroughputCores(b *testing.B, cores int) {
@@ -501,11 +502,10 @@ func engineThroughputCores(b *testing.B, cores int) {
 	for i := 0; i < b.N; i++ {
 		sink := &countingSink{}
 		e, err := engine.New(engine.Config{
-			Tasks:   set,
-			End:     vtime.Time(30 * vtime.Second),
-			CPUs:    cores,
-			Collect: engine.Stream,
-			Sink:    sink,
+			Tasks: set,
+			End:   vtime.Time(30 * vtime.Second),
+			CPUs:  cores,
+			Sink:  sink,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -524,7 +524,7 @@ func engineThroughputCores(b *testing.B, cores int) {
 // — the substrate cost the typed, allocation-free event loop bounds —
 // across the core-count axis: cores=1 is the uniprocessor loop, the
 // larger counts price the shared ready queue feeding M cores under
-// global dispatch. Streaming collection (the long-horizon
+// global dispatch. Events are counted, not kept (the long-horizon
 // configuration); the full pair of gate benchmarks is this family
 // plus the Retain workload below.
 func BenchmarkEngineThroughput(b *testing.B) {
@@ -533,12 +533,12 @@ func BenchmarkEngineThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineThroughputRetain is the same workload with the full
-// in-memory log retained.
-func BenchmarkEngineThroughputRetain(b *testing.B) { engineThroughput(b, engine.Retain) }
+// BenchmarkEngineThroughputRetain is the Table 2 workload with the
+// full log retained.
+func BenchmarkEngineThroughputRetain(b *testing.B) { engineThroughput(b) }
 
 // BenchmarkEngineScaling runs the X10 task-count axis (10..500
-// synthetic tasks, 60 s horizon, streaming collection): the per-event
+// synthetic tasks, 60 s horizon, events counted, not kept): the per-event
 // cost must stay flat-ish as the task count grows — the ready-queue
 // rework's acceptance surface. CI distils the series into
 // BENCH_engine.json.
@@ -594,12 +594,12 @@ func TestDispatchCostSubLinear(t *testing.T) {
 
 // benchCollect runs the Figure system for a 10-minute virtual horizon
 // (≈ 5800 jobs, ≈ 42k trace events) under the stop treatment with a
-// recurring overrun, in the given collection mode. Run with -benchmem:
+// recurring overrun, retained or streamed. Run with -benchmem:
 // the Retain/Stream pair pins the memory story — streaming keeps
 // allocations O(1) per job (no retained log, no per-job records; B/op
 // and allocs/op drop accordingly) while reproducing the same report.
 // CI extracts the pair into BENCH_stream.json.
-func benchCollect(b *testing.B, mode engine.Collect) {
+func benchCollect(b *testing.B, stream bool) {
 	var jobs int
 	for i := 0; i < b.N; i++ {
 		sys, err := core.NewSystem(core.Config{
@@ -608,7 +608,7 @@ func benchCollect(b *testing.B, mode engine.Collect) {
 			Faults:          fault.Plan{"tau1": fault.OverrunEvery{First: 1, K: 3, Extra: ms(45)}},
 			Horizon:         600 * vtime.Second,
 			TimerResolution: detect.DefaultTimerResolution,
-			Collect:         mode,
+			Stream:          stream,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -621,7 +621,7 @@ func benchCollect(b *testing.B, mode engine.Collect) {
 		if jobs < 5000 {
 			b.Fatalf("10-minute horizon released only %d jobs", jobs)
 		}
-		if mode == engine.Stream && res.Log.Len() != 0 {
+		if stream && res.Log.Len() != 0 {
 			b.Fatalf("streaming run retained %d events", res.Log.Len())
 		}
 	}
@@ -631,11 +631,11 @@ func benchCollect(b *testing.B, mode engine.Collect) {
 
 // BenchmarkCollectRetain10m is the baseline: the full log retained
 // over a 10-minute virtual horizon and analysed after the run.
-func BenchmarkCollectRetain10m(b *testing.B) { benchCollect(b, engine.Retain) }
+func BenchmarkCollectRetain10m(b *testing.B) { benchCollect(b, false) }
 
 // BenchmarkCollectStream10m is the bounded-memory path: same
 // simulation, metrics accumulated online, nothing retained.
-func BenchmarkCollectStream10m(b *testing.B) { benchCollect(b, engine.Stream) }
+func BenchmarkCollectStream10m(b *testing.B) { benchCollect(b, true) }
 
 // TestStreamAllocsPerJobConstant pins the O(1)-per-job steady state:
 // doubling the horizon (and so the job count) must not raise the
@@ -651,7 +651,7 @@ func TestStreamAllocsPerJobConstant(t *testing.T) {
 				Faults:          fault.Plan{"tau1": fault.OverrunEvery{First: 1, K: 3, Extra: ms(45)}},
 				Horizon:         horizon,
 				TimerResolution: detect.DefaultTimerResolution,
-				Collect:         engine.Stream,
+				Stream:          true,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -675,7 +675,7 @@ func TestStreamAllocsPerJobConstant(t *testing.T) {
 
 // benchFastForward runs the eligible Table 2 variant (the figure
 // system under treatment none — hyperperiod 3000 ms) to the given
-// horizon in streaming collection, with or without fast-forward. The
+// horizon, streamed, with or without fast-forward. The
 // full/ff pair per horizon is the tentpole's acceptance surface: the
 // ff run must do O(transient + one cycle + tail) work regardless of
 // the horizon, so its ns/op stays flat while the full run's grows
@@ -689,7 +689,7 @@ func benchFastForward(b *testing.B, horizon vtime.Duration, ff bool) {
 			Tasks:       experiments.FigureSet(),
 			Treatment:   detect.NoDetection,
 			Horizon:     horizon,
-			Collect:     engine.Stream,
+			Stream:      true,
 			FastForward: ff,
 		})
 		if err != nil {
@@ -735,7 +735,7 @@ func BenchmarkEngineFastForward(b *testing.B) {
 
 // BenchmarkEngineOpenArrivals (X15) prices source-driven releases: 30
 // simulated seconds of a periodic task beside a Poisson-driven and an
-// MMPP-driven task on the bare engine, streaming collection. The
+// MMPP-driven task on the bare engine, events counted, not kept. The
 // per-release override staging must keep the open-arrival loop in the
 // same events_per_sec family as the periodic one — CI distils the row
 // into BENCH_engine.json and the gate watches it.
@@ -762,7 +762,6 @@ func BenchmarkEngineOpenArrivals(b *testing.B) {
 		e, err := engine.New(engine.Config{
 			Tasks:   set,
 			End:     vtime.Time(30 * vtime.Second),
-			Collect: engine.Stream,
 			Sink:    sink,
 			Sources: []taskset.Source{nil, poisson, mmpp},
 		})
@@ -795,12 +794,12 @@ func BenchmarkAperiodicServer(b *testing.B) {
 				{ID: "c", Arrival: vtime.AtMillis(300), Cost: ms(20)},
 			},
 		}
-		e, served, err := srv.Run(periodic, nil, vtime.Second)
+		log, served, err := srv.Run(periodic, nil, vtime.Second)
 		if err != nil {
 			b.Fatal(err)
 		}
 		// hard releases at 0, 100, ..., 1000 ms.
-		if hard := metrics.Analyze(e.Log()).Tasks["hard"]; hard == nil || hard.Released != 11 || hard.Failed != 0 {
+		if hard := metrics.Analyze(log).Tasks["hard"]; hard == nil || hard.Released != 11 || hard.Failed != 0 {
 			b.Fatalf("hard task under aperiodic burst: %+v, want 11 released, none failed", hard)
 		}
 		done := 0

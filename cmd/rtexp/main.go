@@ -72,7 +72,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 
 	if *list {
 		for _, e := range sim.Experiments() {
-			fmt.Fprintf(stdout, "%-8s %s\n", e.Name(), e.Description())
+			fmt.Fprintf(stdout, "%-8s %s\n", e.Name, e.Description)
 		}
 		return 0
 	}
@@ -84,7 +84,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 
 	for _, e := range sim.Experiments() {
-		if *which != "all" && *which != e.Name() {
+		if *which != "all" && *which != e.Name {
 			continue
 		}
 		opt := sim.RunOptions{Parallelism: *parallel}
@@ -92,7 +92,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			opt.Parallelism = 1
 		}
 		if *progress {
-			name := e.Name()
+			name := e.Name
 			opt.Progress = func(done, total int) {
 				fmt.Fprintf(stderr, "\r%s: %d/%d", name, done, total)
 				if done == total {
@@ -107,7 +107,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 				// intact instead of splicing the error over it.
 				fmt.Fprintln(stderr)
 			}
-			fmt.Fprintf(stderr, "rtexp: %s: %v\n", e.Name(), err)
+			fmt.Fprintf(stderr, "rtexp: %s: %v\n", e.Name, err)
 			return 1
 		}
 		if *jsonOut {
@@ -115,8 +115,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			if err := enc.Encode(struct {
 				Artefact string `json:"artefact"`
 				Data     any    `json:"data"`
-			}{e.Name(), res.Data}); err != nil {
-				fmt.Fprintf(stderr, "rtexp: %s: encode: %v\n", e.Name(), err)
+			}{e.Name, res.Data}); err != nil {
+				fmt.Fprintf(stderr, "rtexp: %s: encode: %v\n", e.Name, err)
 				return 1
 			}
 		} else {
@@ -131,7 +131,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 // identical to the registry entry's, plus the "wrote …" line.
 func runOne(ctx context.Context, e sim.Experiment, svgDir string, opt sim.RunOptions) (sim.Result, error) {
 	if svgDir != "" {
-		if fig, ok := figureOf(e.Name()); ok {
+		if fig, ok := figureOf(e.Name); ok {
 			outcome, text, err := experiments.FigureArtefact(fig, svgDir)
 			if err != nil {
 				return sim.Result{}, err

@@ -22,8 +22,8 @@ func TestListEnumeratesRegistry(t *testing.T) {
 		t.Fatalf("-list printed %d lines, want %d:\n%s", len(lines), want, out)
 	}
 	for _, e := range sim.Experiments() {
-		if !strings.Contains(out, e.Name()) || !strings.Contains(out, e.Description()) {
-			t.Errorf("-list output missing %q / its description:\n%s", e.Name(), out)
+		if !strings.Contains(out, e.Name) || !strings.Contains(out, e.Description) {
+			t.Errorf("-list output missing %q / its description:\n%s", e.Name, out)
 		}
 	}
 }

@@ -103,33 +103,40 @@
 //
 // # Streaming collection
 //
-// In both collection modes the engine keeps a Job record only while
-// its job is live: a record comes from a pool at release and goes back
-// at termination, and what happened to a job afterwards is read from
-// the events. A run retains, by default, every trace event — memory
-// linear in the horizon, but little time: trace.Log stores events in
-// fixed 4 096-event chunks, so growth never copies a recorded event,
+// The engine has one event path and no collection mode: every event
+// goes to its sink (engine.Config.Sink), and it keeps no log of its
+// own and a Job record only while its job is live — a record comes
+// from a pool at release and goes back at termination, and what
+// happened to a job afterwards is read from the events. Whether a run
+// keeps its events is decided in one place, package core. A run
+// retains, by default, every trace event: core tees a trace.Log it
+// owns into the engine's sink chain and analyzes it after the run —
+// memory linear in the horizon, but little time. trace.Log stores
+// events in chunks that double from 256 events up to 4 096, so growth
+// never copies a recorded event and a short run allocates a short log,
 // and metrics.Analyze rebuilds the jobs in one pass through a per-task
 // index, with no map entry or pointer per job. On
-// BenchmarkCollectRetain10m a retained run costs 324 bytes per job
-// against the streamed run's 12, and 1.04–1.27× its time in five
-// same-binary captures (2-core container, go1.24.0).
+// BenchmarkCollectRetain10m a retained run costs 323 bytes per job
+// against the streamed run's 12 (2-core container, go1.24.0).
 // Streaming collection (the scenario "collect" block, mode
 // sim.CollectStream, rtrun -stream) bounds memory for long-horizon and
-// soak runs: the engine skips the in-memory log and feeds each event
-// to a trace.Sink — a metrics.Accumulator that maintains per-task counts, success
+// soak runs: core keeps no log and tees a metrics.Accumulator into the
+// sink chain, which maintains per-task counts, success
 // ratios, response min/mean/max and an ε-approximate quantile sketch
-// online, optionally teed with a trace.WriterSink that spills the
+// online, optionally beside a trace.WriterSink that spills the
 // byte-identical text log to disk (System.SpillTrace, rtrun
 // -trace-out). The accumulator keeps one record per task — summary,
 // sketch, fast-forward cycle bookkeeping and the task's live jobs in a
 // short q-ordered slice — so an event costs one task-name lookup and a
 // short scan, and a job allocates nothing. Streaming reports equal
 // retained reports exactly on every summary field; percentiles carry
-// a ±εn rank-error bound (metrics.DefaultSketchEpsilon). Cross-mode
-// equivalence, the sketch bound, and the allocation-free steady state
-// (TestAccumulatorSteadyStateAllocFree) are pinned by tests and by
-// BenchmarkCollectRetain10m/BenchmarkCollectStream10m.
+// a ±εn rank-error bound (metrics.DefaultSketchEpsilon). Only a
+// streamed run fast-forwards or checkpoints: a retained log would miss
+// the extrapolated cycles, and a checkpoint cannot carry it, so core
+// refuses both on a retained config before building the engine.
+// Cross-mode equivalence, the sketch bound, and the allocation-free
+// steady state (TestAccumulatorSteadyStateAllocFree) are pinned by
+// tests and by BenchmarkCollectRetain10m/BenchmarkCollectStream10m.
 //
 // # Typed event loop
 //

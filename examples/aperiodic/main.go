@@ -51,7 +51,7 @@ func main() {
 	fmt.Println("Admission control over {control, server}:")
 	fmt.Print(rep.Render(set))
 
-	e, served, err := server.Run(periodic, nil, ms(1000))
+	recorded, served, err := server.Run(periodic, nil, ms(1000))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func main() {
 		fmt.Printf("%-8s %9v %7v %11s %10s %6s\n", r.ID, r.Arrival, r.Cost, comp, respStr, soft)
 	}
 
-	missed := metrics.Analyze(e.Log()).Tasks["control"].Failed
+	missed := metrics.Analyze(recorded).Tasks["control"].Failed
 	fmt.Printf("\nperiodic task deadline misses during the burst: %d (the capacity cap\n", missed)
 	fmt.Println("means no aperiodic load can exceed what admission control budgeted).")
 }

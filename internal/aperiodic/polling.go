@@ -226,16 +226,17 @@ func (ps *PollingServer) Attach(set *taskset.Set, plan fault.Plan) (*taskset.Set
 }
 
 // Run is a convenience: simulate the set plus server to the horizon
-// and return the engine plus the served requests.
-func (ps *PollingServer) Run(set *taskset.Set, plan fault.Plan, horizon vtime.Duration) (*engine.Engine, []Served, error) {
+// and return the recorded log plus the served requests.
+func (ps *PollingServer) Run(set *taskset.Set, plan fault.Plan, horizon vtime.Duration) (*trace.Log, []Served, error) {
 	full, fullPlan, err := ps.Attach(set, plan)
 	if err != nil {
 		return nil, nil, err
 	}
-	e, err := engine.New(engine.Config{Tasks: full, Faults: fullPlan, End: vtime.Time(horizon)})
+	log := trace.NewLog()
+	e, err := engine.New(engine.Config{Tasks: full, Faults: fullPlan, End: vtime.Time(horizon), Sink: log})
 	if err != nil {
 		return nil, nil, err
 	}
-	log := e.Run()
-	return e, ps.Analyze(log), nil
+	e.Run()
+	return log, ps.Analyze(log), nil
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/metrics"
 	"repro/internal/taskset"
+	"repro/internal/trace"
 	"repro/internal/vtime"
 )
 
@@ -136,12 +137,12 @@ func TestBurstCannotHurtPeriodicTasks(t *testing.T) {
 			ID: "burst", Arrival: at(100), Cost: ms(20),
 		})
 	}
-	e, served, err := ps.Run(periodicSet(), nil, ms(3000))
+	log, served, err := ps.Run(periodicSet(), nil, ms(3000))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// hard releases at 0, 100, ..., 3000 ms.
-	if hard := metrics.Analyze(e.Log()).Tasks["hard"]; hard == nil || hard.Released != 31 || hard.Failed != 0 {
+	if hard := metrics.Analyze(log).Tasks["hard"]; hard == nil || hard.Released != 31 || hard.Failed != 0 {
 		t.Fatalf("hard under aperiodic burst: %+v, want 31 released, none failed", hard)
 	}
 	// The server drains at most 10ms per 50ms: in 2900ms after the
@@ -178,12 +179,13 @@ func TestDetectorsApplyToServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := engine.New(engine.Config{Tasks: set, Faults: plan, End: at(1000), Hooks: sup.Hooks()})
+	log := trace.NewLog()
+	e, err := engine.New(engine.Config{Tasks: set, Faults: plan, End: at(1000), Sink: log, Hooks: sup.Hooks()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sup.Attach(e)
-	log := e.Run()
+	e.Run()
 	if sup.Detections() == 0 {
 		t.Fatal("the overrunning server must be detected")
 	}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/metrics"
 	"repro/internal/taskset"
+	"repro/internal/trace"
 	"repro/internal/vtime"
 )
 
@@ -30,13 +31,22 @@ func overloadedSet() *taskset.Set {
 	)
 }
 
-func runPolicy(t *testing.T, s *taskset.Set, p engine.Policy, horizon int64) *metrics.Report {
+// runLog runs cfg to the horizon and returns the events it recorded.
+func runLog(t *testing.T, cfg engine.Config) *trace.Log {
 	t.Helper()
-	e, err := engine.New(engine.Config{Tasks: s, Policy: p, End: at(horizon)})
+	log := trace.NewLog()
+	cfg.Sink = log
+	e, err := engine.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return metrics.Analyze(e.Run())
+	e.Run()
+	return log
+}
+
+func runPolicy(t *testing.T, s *taskset.Set, p engine.Policy, horizon int64) *metrics.Report {
+	t.Helper()
+	return metrics.Analyze(runLog(t, engine.Config{Tasks: s, Policy: p, End: at(horizon)}))
 }
 
 func TestEDFSchedulesFeasibleSetPerfectly(t *testing.T) {
@@ -149,11 +159,7 @@ func TestPolicyNames(t *testing.T) {
 func TestValueOrderingUnderFaults(t *testing.T) {
 	faults := fault.Plan{"mid": fault.OverrunEvery{K: 1, Extra: ms(40)}}
 	run := func(p engine.Policy) *metrics.Report {
-		e, err := engine.New(engine.Config{Tasks: feasibleSet(), Policy: p, Faults: faults, End: at(3000)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return metrics.Analyze(e.Run())
+		return metrics.Analyze(runLog(t, engine.Config{Tasks: feasibleSet(), Policy: p, Faults: faults, End: at(3000)}))
 	}
 	edf := run(EDF{})
 	be := run(BestEffort{})
@@ -167,11 +173,7 @@ func TestValueOrderingUnderFaults(t *testing.T) {
 // deterministic.
 func TestDeterministicBaselineRuns(t *testing.T) {
 	run := func() string {
-		e, err := engine.New(engine.Config{Tasks: overloadedSet(), Policy: BestEffort{}, End: at(1000)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e.Run().EncodeString()
+		return runLog(t, engine.Config{Tasks: overloadedSet(), Policy: BestEffort{}, End: at(1000)}).EncodeString()
 	}
 	if run() != run() {
 		t.Fatal("best-effort runs differ between executions")

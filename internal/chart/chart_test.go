@@ -119,7 +119,7 @@ func TestSVGWellFormed(t *testing.T) {
 func TestBurstReconstruction(t *testing.T) {
 	// Synthetic log: a burst split by preemption renders as two
 	// separate execution runs with a gap.
-	l := trace.NewLog(8)
+	l := trace.NewLog()
 	add := func(atMS int64, k trace.Kind) {
 		l.Append(trace.Event{At: vtime.AtMillis(atMS), Kind: k, Task: "a", Job: 0})
 	}
@@ -140,7 +140,7 @@ func TestBurstReconstruction(t *testing.T) {
 }
 
 func TestOpenBurstAtWindowEnd(t *testing.T) {
-	l := trace.NewLog(4)
+	l := trace.NewLog()
 	l.Append(trace.Event{At: vtime.AtMillis(0), Kind: trace.JobBegin, Task: "a", Job: 0})
 	out := ASCII(l, Options{From: 0, To: vtime.AtMillis(20), CellMS: 2, Tasks: []string{"a"}}, nil)
 	if !strings.Contains(out, "██████████") {

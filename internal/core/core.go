@@ -65,33 +65,39 @@ type Config struct {
 	// Tasks.Tasks: a non-nil entry replaces that task's periodic
 	// release law with source-driven releases (engine.Config.Sources).
 	Sources []taskset.Source
-	// Collect selects run-data retention: engine.Retain (default)
-	// keeps the full event log, and the Report comes from
-	// metrics.Analyze; engine.Stream bounds memory for long horizons —
-	// the Report comes from a streaming metrics.Accumulator and
-	// Result.Log stays empty.
-	Collect engine.Collect
+	// Stream bounds memory for long horizons: the Report comes from a
+	// streaming metrics.Accumulator and Result.Log stays empty. Core is
+	// the one layer that decides whether a run keeps its events: a
+	// retained run (the default) tees a trace.Log core owns into the
+	// engine's sink chain, returns it as Result.Log and analyzes it
+	// with metrics.Analyze. Only a streamed run fast-forwards or
+	// checkpoints — a retained log would miss the extrapolated cycles,
+	// and a checkpoint cannot carry the log — so NewSystem refuses a
+	// retained FastForward config, and RunToCheckpoint and RunFrom a
+	// retained one, before building the engine.
+	Stream bool
 	// TraceSink, when non-nil, receives every trace event as it is
-	// recorded: alongside the log under Retain, instead of it under
-	// Stream (spill-to-disk via trace.NewWriterSink; the caller
+	// recorded, alongside the retained log or the streaming
+	// accumulator (spill-to-disk via trace.NewWriterSink; the caller
 	// flushes after Run). Under FastForward it sees no events for the
 	// extrapolated cycles.
 	TraceSink trace.Sink
 	// FastForward enables the engine's steady-state cycle detection:
 	// once two consecutive hyperperiod boundaries fingerprint equal,
 	// the remaining whole cycles are extrapolated analytically and only
-	// the tail is simulated (engine/fastforward.go). engine.New refuses
-	// what the jump cannot serve; the TraceSink and the Oracle see no
-	// events for the extrapolated cycles. Which features combine with
-	// it is stated once, in the scenario capability table
-	// (sim/scenario.Features), which package sim asks before a run.
+	// the tail is simulated (engine/fastforward.go). It requires
+	// Stream, and engine.New refuses what the jump cannot serve; the
+	// TraceSink and the Oracle see no events for the extrapolated
+	// cycles. Which features combine with it is stated once, in the
+	// scenario capability table (sim/scenario.Features), which package
+	// sim asks before a run.
 	FastForward bool
 	// Oracle, when non-nil, is the online invariant oracle (package
 	// verify): every trace event is checked against the scheduling
-	// axioms as it is recorded — in Retain and Stream collection
-	// alike — and Run fails with a wrapped *verify.Error on any
-	// violation. Build it for the same system (verify.ForScenario
-	// does so for a scenario); a Checker serves one run.
+	// axioms as it is recorded — in retained and streamed runs alike —
+	// and Run fails with a wrapped *verify.Error on any violation.
+	// Build it for the same system (verify.ForScenario does so for a
+	// scenario); a Checker serves one run.
 	Oracle *verify.Checker
 }
 
@@ -137,6 +143,9 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 	if cfg.Horizon <= 0 {
 		return nil, fmt.Errorf("core: horizon must be positive")
+	}
+	if cfg.FastForward && !cfg.Stream {
+		return nil, fmt.Errorf("core: FastForward requires Stream (a retained log would miss the extrapolated cycles)")
 	}
 	if cfg.Policy != nil && cfg.Policy.Name() != (engine.FixedPriority{}).Name() &&
 		cfg.Treatment != detect.NoDetection {
@@ -197,37 +206,36 @@ func (s *System) RunWith(setup func(e *engine.Engine, sup *detect.Supervisor)) (
 	if err != nil {
 		return nil, err
 	}
-	log := p.eng.Run()
-	return s.finish(p, log)
+	p.eng.Run()
+	return s.finish(p)
 }
 
 // prepared is a wired-but-not-yet-run instance: the engine with its
-// sink chain (accumulator, oracle, spill) assembled and the
+// sink chain (log or accumulator, oracle, spill) assembled and the
 // supervisor attached.
 type prepared struct {
 	eng *engine.Engine
-	acc *metrics.Accumulator
+	log *trace.Log           // the retained log; stays empty under Stream
+	acc *metrics.Accumulator // the streaming summary; nil when retained
 }
 
 // prepare assembles the sink chain and the engine — everything RunWith
 // does before eng.Run(). Split out so the checkpoint entry points
 // (RunToCheckpoint, RunFrom) reuse the exact wiring of a plain run.
 func (s *System) prepare(setup func(e *engine.Engine, sup *detect.Supervisor)) (*prepared, error) {
-	var acc *metrics.Accumulator
-	sink := s.cfg.TraceSink
-	if s.cfg.Collect == engine.Stream {
-		// Streaming: the accumulator summarizes the event stream in
-		// place of the post-hoc Analyze; the optional TraceSink sees
-		// the same events (Tee skips it when nil).
-		acc = metrics.NewAccumulator()
-		sink = trace.Tee(acc, sink)
-	}
+	p := &prepared{log: trace.NewLog()}
+	var sink trace.Sink = p.log
 	var obs engine.CycleObserver
-	if s.cfg.FastForward {
-		// The accumulator doubles as the cycle observer so the metrics
-		// stay exact across the analytic jump.
-		obs = acc
+	if s.cfg.Stream {
+		// Streaming: the accumulator summarizes the event stream in
+		// place of the post-hoc Analyze, and doubles as the cycle
+		// observer so the metrics stay exact across a fast-forward.
+		p.acc = metrics.NewAccumulator()
+		sink, obs = p.acc, p.acc
 	}
+	// The optional TraceSink sees the same events (Tee skips it when
+	// nil).
+	sink = trace.Tee(sink, s.cfg.TraceSink)
 	if s.cfg.Oracle != nil {
 		sink = trace.Tee(s.cfg.Oracle, sink)
 	}
@@ -247,7 +255,6 @@ func (s *System) prepare(setup func(e *engine.Engine, sup *detect.Supervisor)) (
 		ContextSwitch: s.cfg.ContextSwitch,
 		CPUs:          s.cfg.CPUs,
 		Partition:     s.cfg.Partition,
-		Collect:       s.cfg.Collect,
 		Sink:          sink,
 		FastForward:   s.cfg.FastForward,
 		Observer:      obs,
@@ -262,11 +269,12 @@ func (s *System) prepare(setup func(e *engine.Engine, sup *detect.Supervisor)) (
 	if setup != nil {
 		setup(eng, s.sup)
 	}
-	return &prepared{eng: eng, acc: acc}, nil
+	p.eng = eng
+	return p, nil
 }
 
 // finish settles a completed run: oracle verdict, report, result.
-func (s *System) finish(p *prepared, log *trace.Log) (*Result, error) {
+func (s *System) finish(p *prepared) (*Result, error) {
 	if s.cfg.Oracle != nil {
 		if verr := s.cfg.Oracle.FinishErr(); verr != nil {
 			return nil, fmt.Errorf("core: invariant oracle: %w", verr)
@@ -276,10 +284,10 @@ func (s *System) finish(p *prepared, log *trace.Log) (*Result, error) {
 	if p.acc != nil {
 		rep = p.acc.Report()
 	} else {
-		rep = metrics.Analyze(log)
+		rep = metrics.Analyze(p.log)
 	}
 	res := &Result{
-		Log:           log,
+		Log:           p.log,
 		Report:        rep,
 		Admission:     s.adm,
 		Switches:      p.eng.Switches(),
@@ -306,10 +314,13 @@ type CheckpointState struct {
 // later events), then snapshots it. Events strictly before or at `at`
 // have fired; the partial trace reaches cfg.TraceSink; the returned
 // state resumes with RunFrom on a fresh System built from the same
-// Config. Like Run, it consumes the System. The engine's Snapshot
-// refuses what it cannot serialize (Retain collection, detector and
-// other timers in flight, arrival sources).
+// Config. Like Run, it consumes the System. It refuses a retained
+// config before running; the engine's Snapshot refuses what it cannot
+// serialize (detector and other timers in flight, arrival sources).
 func (s *System) RunToCheckpoint(at vtime.Duration) (*CheckpointState, error) {
+	if !s.cfg.Stream {
+		return nil, errRetainedCheckpoint
+	}
 	p, err := s.prepare(nil)
 	if err != nil {
 		return nil, err
@@ -330,6 +341,9 @@ func (s *System) RunToCheckpoint(at vtime.Duration) (*CheckpointState, error) {
 // cfg.TraceSink, and the returned Report covers the whole run —
 // segment one arrives inside the checkpoint's accumulator state.
 func (s *System) RunFrom(cp *CheckpointState) (*Result, error) {
+	if !s.cfg.Stream {
+		return nil, errRetainedCheckpoint
+	}
 	if cp == nil || cp.Engine == nil || cp.Metrics == nil {
 		return nil, fmt.Errorf("core: RunFrom needs both engine and metrics state")
 	}
@@ -337,14 +351,16 @@ func (s *System) RunFrom(cp *CheckpointState) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The engine restores first: it refuses Retain collection, the
-	// one configuration without an accumulator to restore into.
 	if err := p.eng.Restore(cp.Engine); err != nil {
 		return nil, err
 	}
 	if err := p.acc.RestoreState(cp.Metrics); err != nil {
 		return nil, err
 	}
-	log := p.eng.Run()
-	return s.finish(p, log)
+	p.eng.Run()
+	return s.finish(p)
 }
+
+// errRetainedCheckpoint refuses a checkpoint of a retained run: the
+// checkpoint would have to carry the run's whole log.
+var errRetainedCheckpoint = fmt.Errorf("core: checkpoints require Stream (a checkpoint cannot carry a retained log)")

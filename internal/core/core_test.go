@@ -2,12 +2,14 @@ package core
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/detect"
 	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/taskset"
+	"repro/internal/trace"
 	"repro/internal/verify"
 	"repro/internal/vtime"
 )
@@ -171,11 +173,11 @@ func TestOracleFailsRun(t *testing.T) {
 	}
 }
 
-// TestRunFromRetainFails: a Retain config has no accumulator to
+// TestRunFromRetainFails: a retained config has no accumulator to
 // restore a checkpoint into, so RunFrom must refuse it with an error,
-// not a nil-pointer panic.
+// not a nil-pointer panic, and before the engine runs.
 func TestRunFromRetainFails(t *testing.T) {
-	cfg := Config{Tasks: figureSet(), Horizon: ms(1500), Collect: engine.Stream}
+	cfg := Config{Tasks: figureSet(), Horizon: ms(1500), Stream: true}
 	sys, err := NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -184,13 +186,100 @@ func TestRunFromRetainFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Collect = engine.Retain
+	seen := trace.NewLog()
+	cfg.Stream, cfg.TraceSink = false, seen
 	retained, err := NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := retained.RunFrom(cp); err == nil {
-		t.Fatal("RunFrom on a Retain config succeeded")
+		t.Fatal("RunFrom on a retained config succeeded")
+	}
+	if seen.Len() != 0 {
+		t.Errorf("the refused RunFrom recorded %d events", seen.Len())
+	}
+}
+
+// TestRunToCheckpointRetainFails: a checkpoint cannot carry a retained
+// log, so RunToCheckpoint refuses a retained config before running —
+// its sink sees no event — instead of reaching the missing
+// accumulator.
+func TestRunToCheckpointRetainFails(t *testing.T) {
+	seen := trace.NewLog()
+	sys, err := NewSystem(Config{Tasks: figureSet(), Horizon: ms(1500), TraceSink: seen})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.RunToCheckpoint(ms(700)); err == nil {
+		t.Fatal("RunToCheckpoint on a retained config succeeded")
+	}
+	if seen.Len() != 0 {
+		t.Errorf("the refused RunToCheckpoint recorded %d events", seen.Len())
+	}
+}
+
+// TestRetainedFastForwardRefused: a retained log would miss the
+// extrapolated cycles, so NewSystem refuses FastForward unless the run
+// streams.
+func TestRetainedFastForwardRefused(t *testing.T) {
+	cfg := Config{Tasks: figureSet(), Horizon: ms(30_000), FastForward: true}
+	if _, err := NewSystem(cfg); err == nil || !strings.Contains(err.Error(), "Stream") {
+		t.Fatalf("retained FastForward: err = %v, want a refusal naming Stream", err)
+	}
+	cfg.Stream = true
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sys.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.SkippedCycles == 0 {
+		t.Error("the streamed run never fast-forwarded")
+	}
+}
+
+// TestTraceSinkSeesTheRetainedLog: a retained run hands its TraceSink
+// exactly the events of Result.Log, and a streamed run of the same
+// system hands its TraceSink the same events while its Result.Log
+// stays empty.
+func TestTraceSinkSeesTheRetainedLog(t *testing.T) {
+	run := func(stream bool) (*Result, *trace.Log) {
+		t.Helper()
+		sink := trace.NewLog()
+		sys, err := NewSystem(Config{
+			Tasks:           figureSet(),
+			Treatment:       detect.Stop,
+			Faults:          fault.Plan{"tau1": fault.OverrunEvery{First: 1, K: 3, Extra: ms(45)}},
+			Horizon:         ms(6000),
+			TimerResolution: detect.DefaultTimerResolution,
+			Stream:          stream,
+			TraceSink:       sink,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sys.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, sink
+	}
+	retained, sink := run(false)
+	want := retained.Log.EncodeString()
+	if retained.Log.Len() == 0 || retained.Report.Tasks["tau1"].Failed == 0 {
+		t.Fatal("the retained run recorded no events or no tau1 failure")
+	}
+	if sink.EncodeString() != want {
+		t.Error("a retained run's TraceSink saw different events than Result.Log")
+	}
+	streamed, sink := run(true)
+	if streamed.Log == nil || streamed.Log.Len() != 0 {
+		t.Errorf("a streamed run must return an empty log, got %v", streamed.Log)
+	}
+	if sink.EncodeString() != want {
+		t.Error("a streamed run's TraceSink saw different events than the retained Result.Log")
 	}
 }
 

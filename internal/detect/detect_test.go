@@ -32,17 +32,20 @@ func runFigure(t *testing.T, tr Treatment) (*engine.Engine, *Supervisor, *trace.
 	if err != nil {
 		t.Fatal(err)
 	}
+	log := trace.NewLog()
 	e, err := engine.New(engine.Config{
 		Tasks:  figureSet(),
 		Faults: fault.Plan{"tau1": fault.OverrunAt{Job: 5, Extra: ms(40)}},
 		End:    at(1500),
+		Sink:   log,
 		Hooks:  sup.Hooks(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sup.Attach(e)
-	return e, sup, e.Run()
+	e.Run()
+	return e, sup, log
 }
 
 // figureJobs returns the log's records of the three jobs released at
@@ -281,17 +284,19 @@ func TestRecurringFaultsStopEveryOccurrence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	log := trace.NewLog()
 	e, err := engine.New(engine.Config{
 		Tasks:  figureSet(),
 		Faults: fault.Plan{"tau1": fault.OverrunEvery{First: 1, K: 2, Extra: ms(50)}},
 		End:    at(3000),
+		Sink:   log,
 		Hooks:  sup.Hooks(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sup.Attach(e)
-	log := e.Run()
+	e.Run()
 	if sup.Detections() < 5 {
 		t.Fatalf("expected at least 5 detections, got %d", sup.Detections())
 	}
@@ -317,10 +322,12 @@ func TestDynamicAdmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	log := trace.NewLog()
 	e, err := engine.New(engine.Config{
 		Tasks:  base,
 		Faults: fault.Plan{"b": fault.OverrunEvery{First: 0, K: 1, Extra: ms(100)}},
 		End:    at(2000),
+		Sink:   log,
 		Hooks:  sup.Hooks(),
 	})
 	if err != nil {
@@ -337,7 +344,7 @@ func TestDynamicAdmission(t *testing.T) {
 			t.Error("AdmitTask(c) must be rejected by admission control")
 		}
 	})
-	log := e.Run()
+	e.Run()
 	// Every faulty job of b must have been stopped; a never fails. b
 	// releases at 250, 450, ..., 1850 ms, a at 0, 100, ..., 2000 ms.
 	var stopped int

@@ -12,22 +12,22 @@ import (
 // to the engine state they capture; Restore rejects other versions.
 const CheckpointVersion = 2
 
-// Checkpoint is the complete serializable state of a streaming-mode
-// engine at an event boundary: virtual time, the typed event heap
-// (positions and sequence numbers preserved, so the restored heap is
-// structurally identical), every task's release counter and pending
-// job queue, the deadline-event slot table, the stop-jitter RNG and
-// any stateful fault models. It is pure data — canonical JSON like
-// sim/scenario — and carries everything a fresh engine built from the
-// same Config needs to continue the run: a run split at a checkpoint
-// boundary produces a byte-identical trace to the unsplit run.
+// Checkpoint is the complete serializable state of an engine at an
+// event boundary: virtual time, the typed event heap (positions and
+// sequence numbers preserved, so the restored heap is structurally
+// identical), every task's release counter and pending job queue, the
+// deadline-event slot table, the stop-jitter RNG and any stateful
+// fault models. It is pure data — canonical JSON like sim/scenario —
+// and carries everything a fresh engine built from the same Config
+// needs to continue the run: a run split at a checkpoint boundary
+// produces a byte-identical trace to the unsplit run.
 //
-// Checkpoints cover Stream collection only (a Retain run keeps its
-// whole event log, which a checkpoint does not carry and a long-horizon
-// run must not), and only instants with no in-flight external timers —
-// detector treatments, polling servers and d-over's watchdog hold
-// closure-bearing timers the checkpoint cannot capture. Snapshot
-// reports both conditions as errors.
+// The engine keeps no log, so a checkpoint carries no events; package
+// core refuses to checkpoint a retained run, whose log it could not
+// carry. Checkpoints cover only instants with no in-flight external
+// timers — detector treatments, polling servers and d-over's watchdog
+// hold closure-bearing timers the checkpoint cannot capture — and no
+// arrival sources. Snapshot reports both conditions as errors.
 type Checkpoint struct {
 	Version int `json:"version"`
 	// Policy and End echo the originating Config so Restore can
@@ -122,12 +122,9 @@ func (e *Engine) isRunning(j *Job) bool {
 func (e *Engine) liveTimers() int { return len(e.fns) - len(e.freeFns) }
 
 // Snapshot captures the engine's state at the current event boundary
-// (reach one with RunUntil). It fails under Retain collection and
-// while external timers are in flight — see Checkpoint.
+// (reach one with RunUntil). It fails while external timers are in
+// flight and for arrival sources — see Checkpoint.
 func (e *Engine) Snapshot() (*Checkpoint, error) {
-	if !e.stream {
-		return nil, fmt.Errorf("engine: Snapshot requires Stream collection (a Retain run carries its whole event log)")
-	}
 	if n := e.liveTimers(); n > 0 {
 		return nil, fmt.Errorf("engine: Snapshot with %d external timer(s) in flight (detector treatments, polling servers and watchdog policies are not checkpointable)", n)
 	}
@@ -211,9 +208,6 @@ func (e *Engine) Snapshot() (*Checkpoint, error) {
 func (e *Engine) Restore(cp *Checkpoint) error {
 	if cp.Version != CheckpointVersion {
 		return fmt.Errorf("engine: checkpoint version %d, want %d", cp.Version, CheckpointVersion)
-	}
-	if !e.stream {
-		return fmt.Errorf("engine: Restore requires Stream collection")
 	}
 	if got := e.policy.Name(); got != cp.Policy {
 		return fmt.Errorf("engine: checkpoint policy %q, engine runs %q", cp.Policy, got)

@@ -9,9 +9,10 @@ import (
 	"repro/internal/vtime"
 )
 
-// streamCfg builds a Stream-collection config spilling to sink.
-func streamCfg(sink trace.Sink, end vtime.Time) Config {
-	return Config{Tasks: table2WithOffset(), End: end, Collect: Stream, Sink: sink}
+// spillCfg builds a Table 2 config recording to sink (nil drops the
+// events).
+func spillCfg(sink trace.Sink, end vtime.Time) Config {
+	return Config{Tasks: table2WithOffset(), End: end, Sink: sink}
 }
 
 // TestRunUntilThenRunMatchesRun: splitting the engine loop at an
@@ -19,14 +20,14 @@ func streamCfg(sink trace.Sink, end vtime.Time) Config {
 // event stream — the boundary semantics Snapshot builds on.
 func TestRunUntilThenRunMatchesRun(t *testing.T) {
 	var whole strings.Builder
-	e, err := New(streamCfg(trace.NewWriterSink(&whole), at(3000)))
+	e, err := New(spillCfg(trace.NewWriterSink(&whole), at(3000)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	e.Run()
 
 	var split strings.Builder
-	e2, err := New(streamCfg(trace.NewWriterSink(&split), at(3000)))
+	e2, err := New(spillCfg(trace.NewWriterSink(&split), at(3000)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func TestRunUntilThenRunMatchesRun(t *testing.T) {
 
 // TestRunUntilRejects: going backwards or past the horizon errors.
 func TestRunUntilRejects(t *testing.T) {
-	e, err := New(streamCfg(trace.Discard, at(1000)))
+	e, err := New(spillCfg(nil, at(1000)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,14 +65,14 @@ func TestRunUntilRejects(t *testing.T) {
 // snapshotted engine left runnable (Snapshot does not consume it).
 func TestSnapshotRestoreMidRun(t *testing.T) {
 	var whole strings.Builder
-	e, err := New(streamCfg(trace.NewWriterSink(&whole), at(3000)))
+	e, err := New(spillCfg(trace.NewWriterSink(&whole), at(3000)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	e.Run()
 
 	var segA strings.Builder
-	e1, err := New(streamCfg(trace.NewWriterSink(&segA), at(3000)))
+	e1, err := New(spillCfg(trace.NewWriterSink(&segA), at(3000)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestSnapshotRestoreMidRun(t *testing.T) {
 	}
 
 	var segB strings.Builder
-	e2, err := New(streamCfg(trace.NewWriterSink(&segB), at(3000)))
+	e2, err := New(spillCfg(trace.NewWriterSink(&segB), at(3000)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,21 +112,10 @@ func TestSnapshotRestoreMidRun(t *testing.T) {
 	}
 }
 
-// TestSnapshotRejectsRetain: Retain collection is not checkpointable.
-func TestSnapshotRejectsRetain(t *testing.T) {
-	e, err := New(Config{Tasks: table2WithOffset(), End: at(1000)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Snapshot(); err == nil {
-		t.Error("Snapshot under Retain accepted")
-	}
-}
-
 // TestSnapshotRejectsLiveTimers: an in-flight external timer (a
 // closure) blocks the snapshot.
 func TestSnapshotRejectsLiveTimers(t *testing.T) {
-	e, err := New(streamCfg(trace.Discard, at(1000)))
+	e, err := New(spillCfg(nil, at(1000)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +130,7 @@ func TestSnapshotRejectsLiveTimers(t *testing.T) {
 
 // TestRestoreRejects pins the identity checks.
 func TestRestoreRejects(t *testing.T) {
-	e, err := New(streamCfg(trace.Discard, at(2000)))
+	e, err := New(spillCfg(nil, at(2000)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +144,7 @@ func TestRestoreRejects(t *testing.T) {
 
 	fresh := func() *Engine {
 		t.Helper()
-		e, err := New(streamCfg(trace.Discard, at(2000)))
+		e, err := New(spillCfg(nil, at(2000)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,12 +170,5 @@ func TestRestoreRejects(t *testing.T) {
 	bad.Tasks = bad.Tasks[:len(bad.Tasks)-1]
 	if err := fresh().Restore(&bad); err == nil {
 		t.Error("task-count mismatch accepted")
-	}
-	retained, err := New(Config{Tasks: table2WithOffset(), End: at(2000)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := retained.Restore(cp); err == nil {
-		t.Error("Restore into a Retain engine accepted")
 	}
 }

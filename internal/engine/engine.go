@@ -41,6 +41,12 @@
 // task cannot be killed, it polls a boolean between instructions, so
 // a stop request takes effect only at the job's next poll boundary,
 // possibly inflated by an unbounded-cost jitter term.
+//
+// The engine has one event path and no collection mode: every event
+// it records goes to Config.Sink alone, and it keeps no log of its
+// own. Whether a run retains its events is decided by the sink — a
+// retained run in package core tees a trace.Log core owns into its
+// sink chain, a streamed run a metrics.Accumulator.
 package engine
 
 import (
@@ -50,23 +56,6 @@ import (
 	"repro/internal/taskset"
 	"repro/internal/trace"
 	"repro/internal/vtime"
-)
-
-// Collect selects how much run data the engine retains.
-type Collect uint8
-
-// Collection modes. They differ only in where events go: a Job record
-// lives from its release to its termination in both (see JobAt), and
-// what happened to a job afterwards is read from the events, through
-// metrics.Analyze on a retained log or a metrics.Accumulator sink.
-const (
-	// Retain is the default: every event is appended to the in-memory
-	// log (and to Config.Sink, if set). Memory grows with the horizon.
-	Retain Collect = iota
-	// Stream bounds memory for long-horizon runs: events bypass the
-	// in-memory log, going only to Config.Sink (a metrics.Accumulator,
-	// a spill writer, or nothing).
-	Stream
 )
 
 // Config parameterizes a run.
@@ -116,22 +105,22 @@ type Config struct {
 	// policy-best ready jobs run, wherever a core is free. Dynamic
 	// admission (AddTask) is global-only.
 	Partition []int
-	// Collect selects Retain (default) or Stream collection.
-	Collect Collect
-	// Sink, when non-nil, receives every trace event as it is
-	// recorded — in addition to the log under Retain, instead of it
-	// under Stream. Typical streaming sinks: metrics.Accumulator,
-	// trace.WriterSink, or a trace.Tee of both.
+	// Sink receives every trace event as it is recorded; nil drops
+	// them. The engine keeps no log of its own: a caller that wants the
+	// events passes a trace.Log, alone or in a trace.Tee with a
+	// metrics.Accumulator or a trace.WriterSink. What happened to a job
+	// after it terminated is read from these events (see JobAt).
 	Sink trace.Sink
 	// FastForward enables steady-state cycle detection: Run
 	// fingerprints the state at every hyperperiod boundary and, once
 	// two consecutive boundaries match, extrapolates the remaining
-	// whole cycles analytically (see fastforward.go). Requires Stream
-	// collection, an empty fault plan, no stop jitter and a computable
+	// whole cycles analytically (see fastforward.go). Requires an empty
+	// fault plan, no stop jitter, no arrival sources and a computable
 	// hyperperiod; New rejects ineligible configurations. Note the
 	// extrapolated cycles emit no trace events — a Sink that records
 	// events (rather than a CycleObserver-aware accumulator) would see
-	// a hole, so combine FastForward only with Observer-style sinks.
+	// a hole, which is why package core refuses FastForward on a
+	// retained run.
 	FastForward bool
 	// Observer, with FastForward, receives hyperperiod-boundary marks
 	// and the cycle extrapolation so streaming metrics stay exact
@@ -386,9 +375,7 @@ const (
 // Engine is the simulation instance. Create with New, drive with Run.
 type Engine struct {
 	cfg    Config
-	log    *trace.Log
-	sink   trace.Sink // nil unless Config.Sink was set
-	stream bool       // Config.Collect == Stream
+	sink   trace.Sink // Config.Sink; nil drops events
 	policy Policy
 	fpFast bool // policy is the built-in FixedPriority: skip interface calls
 	rng    *taskset.Rand
@@ -462,11 +449,6 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.StopPoll <= 0 {
 		cfg.StopPoll = vtime.Millisecond
 	}
-	switch cfg.Collect {
-	case Retain, Stream:
-	default:
-		return nil, fmt.Errorf("engine: unknown collection mode %d", cfg.Collect)
-	}
 	if cfg.CPUs < 0 {
 		return nil, fmt.Errorf("engine: CPUs must be non-negative, got %d", cfg.CPUs)
 	}
@@ -495,9 +477,6 @@ func New(cfg Config) (*Engine, error) {
 	}
 	var ff *ffState
 	if cfg.FastForward {
-		if cfg.Collect != Stream {
-			return nil, fmt.Errorf("engine: FastForward requires Stream collection")
-		}
 		if hasSource {
 			return nil, fmt.Errorf("engine: FastForward cannot combine with arrival sources (source-driven releases have no hyperperiod)")
 		}
@@ -518,7 +497,6 @@ func New(cfg Config) (*Engine, error) {
 		ff:          ff,
 		observer:    cfg.Observer,
 		sink:        cfg.Sink,
-		stream:      cfg.Collect == Stream,
 		policy:      cfg.Policy,
 		rng:         taskset.NewRand(cfg.Seed),
 		byName:      make(map[string]*taskState, cfg.Tasks.Len()),
@@ -537,11 +515,6 @@ func New(cfg Config) (*Engine, error) {
 		domains = e.cpus
 	}
 	e.ready = make([][]int32, domains)
-	logCap := 4096
-	if e.stream {
-		logCap = 0 // stays empty: Run still returns a valid, empty log
-	}
-	e.log = trace.NewLog(logCap)
 	if e.policy == nil {
 		e.policy = FixedPriority{}
 	}
@@ -595,22 +568,15 @@ func (e *Engine) addSourcedTaskState(t taskset.Task, m fault.Model, src taskset.
 // Now returns the current virtual instant.
 func (e *Engine) Now() vtime.Time { return e.now }
 
-// Log returns the trace log (empty under Stream collection).
-func (e *Engine) Log() *trace.Log { return e.log }
-
 // Switches returns the number of dispatch switches so far.
 func (e *Engine) Switches() int64 { return e.switches }
 
 // PolicyName returns the active policy's name.
 func (e *Engine) PolicyName() string { return e.policy.Name() }
 
-// Record appends a trace event; exported for the supervisor. Under
-// Retain collection the event lands in the in-memory log (plus the
-// optional sink); under Stream it goes to the sink alone.
+// Record hands a trace event to Config.Sink (nil drops it); exported
+// for the supervisor.
 func (e *Engine) Record(ev trace.Event) {
-	if !e.stream {
-		e.log.Append(ev)
-	}
 	if e.sink != nil {
 		e.sink.Append(ev)
 	}
@@ -827,24 +793,17 @@ func (e *Engine) setCompletion(c int, at vtime.Time) {
 	e.up(i)
 }
 
-// Run executes the simulation to the horizon and returns the log.
-// After a RunUntil (or a Restore), Run picks up from the current
-// instant and completes the remaining horizon.
-func (e *Engine) Run() *trace.Log {
+// Run executes the simulation to the horizon. After a RunUntil (or a
+// Restore), Run picks up from the current instant and completes the
+// remaining horizon.
+func (e *Engine) Run() {
 	if e.ff != nil && !e.ff.abandoned {
 		// Fast-forward drives the run hyperperiod to hyperperiod and,
 		// on detecting a repeated boundary state, jumps the remaining
-		// whole cycles; the ordinary loop below finishes the tail.
+		// whole cycles; RunUntil's loop finishes the tail.
 		e.runFastForward()
 	}
-	for len(e.heap) > 0 && e.heap[0].at <= e.cfg.End {
-		ev, _ := e.pop()
-		e.advance(ev.at)
-		e.step(ev)
-	}
-	e.advance(e.cfg.End)
-	e.now = e.cfg.End
-	return e.log
+	e.runThrough(e.cfg.End)
 }
 
 // RunUntil executes the simulation up to and including instant t:
@@ -860,6 +819,13 @@ func (e *Engine) RunUntil(t vtime.Time) error {
 	if t > e.cfg.End {
 		return fmt.Errorf("engine: RunUntil(%v) is past the horizon %v", t, e.cfg.End)
 	}
+	e.runThrough(t)
+	return nil
+}
+
+// runThrough is the event loop of Run and RunUntil: it processes every
+// event up to and including instant t, then advances the clock to t.
+func (e *Engine) runThrough(t vtime.Time) {
 	for len(e.heap) > 0 && e.heap[0].at <= t {
 		ev, _ := e.pop()
 		e.advance(ev.at)
@@ -867,7 +833,6 @@ func (e *Engine) RunUntil(t vtime.Time) error {
 	}
 	e.advance(t)
 	e.now = t
-	return nil
 }
 
 // step dispatches one popped event; the caller has advanced to its
@@ -1309,7 +1274,7 @@ func (e *Engine) readyRemove(ts *taskState) {
 }
 
 // JobAt returns task's job q and whether it is live: released and not
-// terminated, in either collection mode. Only live jobs resolve — a
+// terminated. Only live jobs resolve — a
 // binary search over the release-ordered pending queue. The contract
 // is therefore: a missing job is a terminated (or refused, or
 // never-released) one, and that holds from the very instant the job
@@ -1319,7 +1284,7 @@ func (e *Engine) readyRemove(ts *taskState) {
 // consumes the job from the pending queue before any hook runs.
 // Callers must treat missing as done, never as "not yet released";
 // the detectors and D-over's watchdog do exactly that, and
-// TestJobAtSameInstantCompletion pins the behaviour in both modes.
+// TestJobAtSameInstantCompletion pins the behaviour.
 // The returned *Job is valid until the job terminates: do not keep it.
 func (e *Engine) JobAt(task string, q int64) (*Job, bool) {
 	ts, ok := e.byName[task]

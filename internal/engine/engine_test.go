@@ -27,13 +27,25 @@ func table2WithOffset() *taskset.Set {
 	)
 }
 
-func run(t *testing.T, cfg Config) (*Engine, *trace.Log) {
+// logged builds an engine for cfg whose events are also teed into a
+// fresh log, beside any sink cfg names.
+func logged(t *testing.T, cfg Config) (*Engine, *trace.Log) {
 	t.Helper()
+	log := trace.NewLog()
+	cfg.Sink = trace.Tee(log, cfg.Sink)
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return e, e.Run()
+	return e, log
+}
+
+// run runs a logged engine for cfg to the horizon.
+func run(t *testing.T, cfg Config) (*Engine, *trace.Log) {
+	t.Helper()
+	e, log := logged(t, cfg)
+	e.Run()
+	return e, log
 }
 
 // runJobs runs a retained configuration and rebuilds its jobs from the
@@ -177,14 +189,12 @@ func TestStopJobPollSemantics(t *testing.T) {
 	s := taskset.MustNew(
 		taskset.Task{Name: "a", Priority: 1, Period: ms(100), Deadline: ms(100), Cost: ms(50)},
 	)
-	e, err := New(Config{Tasks: s, End: at(100), StopPoll: ms(4)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e, log := logged(t, Config{Tasks: s, End: at(100), StopPoll: ms(4)})
 	// Request a stop at t=10: the job has executed 10ms, next 4ms
 	// poll boundary is 12ms of executed work → stops at t=12.
 	e.Schedule(at(10), func(now vtime.Time) { e.StopJob("a", 0, now) })
-	j := job(t, metrics.Analyze(e.Run()), "a", 0)
+	e.Run()
+	j := job(t, metrics.Analyze(log), "a", 0)
 	if !j.Stopped || j.End != at(12) {
 		t.Errorf("job stopped=%v at %v, want stopped at 12ms", j.Stopped, j.End)
 	}
@@ -197,9 +207,10 @@ func TestStopExactlyAtBoundaryIsImmediate(t *testing.T) {
 	s := taskset.MustNew(
 		taskset.Task{Name: "a", Priority: 1, Period: ms(100), Deadline: ms(100), Cost: ms(50)},
 	)
-	e, _ := New(Config{Tasks: s, End: at(100), StopPoll: ms(5)})
+	e, log := logged(t, Config{Tasks: s, End: at(100), StopPoll: ms(5)})
 	e.Schedule(at(10), func(now vtime.Time) { e.StopJob("a", 0, now) })
-	if j := job(t, metrics.Analyze(e.Run()), "a", 0); !j.Stopped || j.End != at(10) {
+	e.Run()
+	if j := job(t, metrics.Analyze(log), "a", 0); !j.Stopped || j.End != at(10) {
 		t.Errorf("stop at a poll boundary must be immediate, got stopped=%v at %v", j.Stopped, j.End)
 	}
 }
@@ -208,9 +219,10 @@ func TestStopJitterAddsBoundedCost(t *testing.T) {
 	s := taskset.MustNew(
 		taskset.Task{Name: "a", Priority: 1, Period: ms(100), Deadline: ms(100), Cost: ms(50)},
 	)
-	e, _ := New(Config{Tasks: s, End: at(100), StopPoll: ms(1), StopJitterMax: ms(3), Seed: 7})
+	e, log := logged(t, Config{Tasks: s, End: at(100), StopPoll: ms(1), StopJitterMax: ms(3), Seed: 7})
 	e.Schedule(at(10), func(now vtime.Time) { e.StopJob("a", 0, now) })
-	if j := job(t, metrics.Analyze(e.Run()), "a", 0); !j.Stopped || j.End < at(10) || j.End > at(13) {
+	e.Run()
+	if j := job(t, metrics.Analyze(log), "a", 0); !j.Stopped || j.End < at(10) || j.End > at(13) {
 		t.Errorf("jittered stop: stopped=%v at %v, want within [10ms,13ms]", j.Stopped, j.End)
 	}
 }
@@ -219,9 +231,9 @@ func TestStopFinishedJobIsNoOp(t *testing.T) {
 	s := taskset.MustNew(
 		taskset.Task{Name: "a", Priority: 1, Period: ms(100), Deadline: ms(100), Cost: ms(5)},
 	)
-	e, _ := New(Config{Tasks: s, End: at(100)})
+	e, log := logged(t, Config{Tasks: s, End: at(100)})
 	e.Schedule(at(50), func(now vtime.Time) { e.StopJob("a", 0, now) })
-	log := e.Run()
+	e.Run()
 	if j := job(t, metrics.Analyze(log), "a", 0); j.Stopped || j.Failed() || j.End != at(5) {
 		t.Errorf("stop after completion must be a no-op: %+v", j)
 	}
@@ -238,9 +250,10 @@ func TestStopPreemptedJob(t *testing.T) {
 		taskset.Task{Name: "high", Priority: 2, Period: ms(100), Deadline: ms(100), Cost: ms(10), Offset: ms(5)},
 		taskset.Task{Name: "low", Priority: 1, Period: ms(100), Deadline: ms(100), Cost: ms(30)},
 	)
-	e, _ := New(Config{Tasks: s, End: at(100), StopPoll: ms(2)})
+	e, log := logged(t, Config{Tasks: s, End: at(100), StopPoll: ms(2)})
 	e.Schedule(at(8), func(now vtime.Time) { e.StopJob("low", 0, now) }) // low preempted since t=5
-	j := job(t, metrics.Analyze(e.Run()), "low", 0)
+	e.Run()
+	j := job(t, metrics.Analyze(log), "low", 0)
 	// low executed [0,5] = 5ms; limit = 6ms; resumes at 15, stops at 16.
 	if !j.Stopped || j.End != at(16) {
 		t.Errorf("preempted stop: stopped=%v at %v, want 16ms", j.Stopped, j.End)
@@ -282,14 +295,14 @@ func TestDynamicAddAndRemove(t *testing.T) {
 	s := taskset.MustNew(
 		taskset.Task{Name: "a", Priority: 2, Period: ms(100), Deadline: ms(100), Cost: ms(10)},
 	)
-	e, _ := New(Config{Tasks: s, End: at(1000)})
+	e, log := logged(t, Config{Tasks: s, End: at(1000)})
 	e.Schedule(at(150), func(now vtime.Time) {
 		if err := e.AddTask(taskset.Task{Name: "b", Priority: 1, Period: ms(100), Deadline: ms(100), Cost: ms(5), Offset: ms(10)}, nil, now); err != nil {
 			t.Errorf("AddTask: %v", err)
 		}
 	})
 	e.Schedule(at(500), func(now vtime.Time) { e.RemoveTask("b", now) })
-	log := e.Run()
+	e.Run()
 	rep := metrics.Analyze(log)
 	// b releases at 160, 260, 360, 460 then is removed before 560.
 	b := rep.Tasks["b"]

@@ -25,13 +25,12 @@ func ffSet() *taskset.Set {
 
 // runPair runs the same configuration with fast-forward off and on
 // (each with its own accumulator) and returns both engines and
-// accumulators. The caller sets everything except Collect, Sink,
-// Observer and FastForward.
+// accumulators. The caller sets everything except Sink, Observer and
+// FastForward.
 func runPair(t *testing.T, cfg Config) (full, ff *Engine, fullAcc, ffAcc *metrics.Accumulator) {
 	t.Helper()
 	fullAcc = metrics.NewAccumulator()
 	c := cfg
-	c.Collect = Stream
 	c.Sink = fullAcc
 	var err error
 	if full, err = New(c); err != nil {
@@ -41,7 +40,6 @@ func runPair(t *testing.T, cfg Config) (full, ff *Engine, fullAcc, ffAcc *metric
 
 	ffAcc = metrics.NewAccumulator()
 	c = cfg
-	c.Collect = Stream
 	c.Sink = ffAcc
 	c.Observer = ffAcc
 	c.FastForward = true
@@ -123,13 +121,13 @@ func (r *eventRecorder) Append(e trace.Event) { r.events = append(r.events, e) }
 func TestFastForwardShortHorizonIsFullRun(t *testing.T) {
 	for _, horizon := range []int64{150, 199} {
 		plain := &eventRecorder{}
-		e1, err := New(Config{Tasks: ffSet(), End: at(horizon), Collect: Stream, Sink: plain})
+		e1, err := New(Config{Tasks: ffSet(), End: at(horizon), Sink: plain})
 		if err != nil {
 			t.Fatal(err)
 		}
 		e1.Run()
 		rec := &eventRecorder{}
-		e2, err := New(Config{Tasks: ffSet(), End: at(horizon), Collect: Stream, Sink: rec, FastForward: true})
+		e2, err := New(Config{Tasks: ffSet(), End: at(horizon), Sink: rec, FastForward: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +153,7 @@ func TestFastForwardOneShotTimerDelaysDetection(t *testing.T) {
 	fired := 0
 	cfg := Config{Tasks: ffSet(), End: at(10_000)}
 	ffAcc := metrics.NewAccumulator()
-	e, err := New(Config{Tasks: cfg.Tasks, End: cfg.End, Collect: Stream,
+	e, err := New(Config{Tasks: cfg.Tasks, End: cfg.End,
 		Sink: ffAcc, Observer: ffAcc, FastForward: true})
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +174,7 @@ func TestFastForwardOneShotTimerDelaysDetection(t *testing.T) {
 	}
 
 	fullAcc := metrics.NewAccumulator()
-	f, err := New(Config{Tasks: cfg.Tasks, End: cfg.End, Collect: Stream, Sink: fullAcc})
+	f, err := New(Config{Tasks: cfg.Tasks, End: cfg.End, Sink: fullAcc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +188,7 @@ func TestFastForwardOneShotTimerDelaysDetection(t *testing.T) {
 // engages and the run is a plain full simulation.
 func TestFastForwardRearmingTimerSuppresses(t *testing.T) {
 	acc := metrics.NewAccumulator()
-	e, err := New(Config{Tasks: ffSet(), End: at(3_000), Collect: Stream,
+	e, err := New(Config{Tasks: ffSet(), End: at(3_000),
 		Sink: acc, Observer: acc, FastForward: true})
 	if err != nil {
 		t.Fatal(err)
@@ -212,7 +210,7 @@ func TestFastForwardAbandonedOnDynamicAdmission(t *testing.T) {
 	addAt := vtime.AtMillis(450)
 
 	fullAcc := metrics.NewAccumulator()
-	full, err := New(Config{Tasks: ffSet(), End: at(4_000), Collect: Stream, Sink: fullAcc})
+	full, err := New(Config{Tasks: ffSet(), End: at(4_000), Sink: fullAcc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +222,7 @@ func TestFastForwardAbandonedOnDynamicAdmission(t *testing.T) {
 	full.Run()
 
 	ffAcc := metrics.NewAccumulator()
-	ff, err := New(Config{Tasks: ffSet(), End: at(4_000), Collect: Stream,
+	ff, err := New(Config{Tasks: ffSet(), End: at(4_000),
 		Sink: ffAcc, Observer: ffAcc, FastForward: true})
 	if err != nil {
 		t.Fatal(err)
@@ -271,14 +269,13 @@ func TestFastForwardMulticore(t *testing.T) {
 // TestFastForwardEligibility pins the static refusals.
 func TestFastForwardEligibility(t *testing.T) {
 	base := func() Config {
-		return Config{Tasks: ffSet(), End: at(1_000), Collect: Stream, FastForward: true}
+		return Config{Tasks: ffSet(), End: at(1_000), FastForward: true}
 	}
 	for _, tc := range []struct {
 		name string
 		mut  func(*Config)
 		want string
 	}{
-		{"retain", func(c *Config) { c.Collect = Retain }, "Stream"},
 		{"faults", func(c *Config) {
 			c.Faults = fault.Plan{"t1": fault.OverrunEvery{K: 3, Extra: ms(1)}}
 		}, "fault plan"},

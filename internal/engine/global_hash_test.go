@@ -141,11 +141,14 @@ func runDispatchCase(t *testing.T, tc dispatchCase) *trace.Log {
 			e.Schedule(j.Release.Add(3*vtime.Millisecond), func(now vtime.Time) { e.StopJob(name, q, now) })
 		}
 	}
+	log := trace.NewLog()
+	cfg.Sink = log
 	e, err := engine.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return e.Run()
+	e.Run()
+	return log
 }
 
 // TestDispatchTraceHashes pins the seeded runs of dispatchCases, and

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/taskset"
-	"repro/internal/trace"
 	"repro/internal/vtime"
 )
 
@@ -24,7 +23,8 @@ func globalSet(t *testing.T) *taskset.Set {
 }
 
 // TestStreamSteadyStateAllocFree pins the typed event loop's central
-// property: once warm, a streaming run allocates nothing per event.
+// property: once warm, a run whose sink keeps nothing allocates nothing
+// per event.
 // Two identical configurations differing only in horizon are measured
 // with testing.AllocsPerRun; the longer run simulates thousands of
 // extra events — releases, completions, deadline checks, preemptions,
@@ -54,7 +54,7 @@ func TestStreamSteadyStateAllocFree(t *testing.T) {
 			perHorizon := func(end vtime.Time) float64 {
 				return testing.AllocsPerRun(5, func() {
 					cfg := tc.cfg()
-					cfg.End, cfg.Collect, cfg.Sink = end, Stream, trace.Discard
+					cfg.End = end
 					e, err := New(cfg)
 					if err != nil {
 						t.Fatal(err)
@@ -147,16 +147,16 @@ func TestReadyJobsReusesScratch(t *testing.T) {
 
 // TestJobAtStreamBinarySearch: JobAt must resolve any live job of a
 // deep backlog (and reject absent indices) — the indexed replacement
-// for the linear pending scan, the same in both collection modes.
+// for the linear pending scan, whatever the sink.
 func TestJobAtStreamBinarySearch(t *testing.T) {
 	// An overloaded low-priority task accumulates a long backlog.
 	set := taskset.MustNew(
 		taskset.Task{Name: "hog", Priority: 10, Period: ms(10), Deadline: ms(10), Cost: ms(9)},
 		taskset.Task{Name: "bg", Priority: 5, Period: ms(30), Deadline: ms(3000), Cost: ms(20)},
 	)
-	for _, m := range modes {
+	for _, m := range sinks {
 		t.Run(m.name, func(t *testing.T) {
-			e, err := New(Config{Tasks: set, End: at(3000), Collect: m.mode, Sink: trace.Discard})
+			e, err := New(Config{Tasks: set, End: at(3000), Sink: m.sink()})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -155,7 +155,7 @@ func TestMulticoreCheckpointSplitEqualsUnsplit(t *testing.T) {
 		{"partitioned", []int{0, 1, 0}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := Config{Tasks: threeForTwoCores(), End: at(400), CPUs: 2, Partition: tc.partition, Collect: Stream}
+			cfg := Config{Tasks: threeForTwoCores(), End: at(400), CPUs: 2, Partition: tc.partition}
 			var whole, stitched bytes.Buffer
 			eng, err := New(withSink(cfg, &whole))
 			if err != nil {

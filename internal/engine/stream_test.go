@@ -8,51 +8,36 @@ import (
 	"repro/internal/trace"
 )
 
-// TestStreamEmitsIdenticalEvents: the same configuration run under
-// Stream collection delivers, through its sink, exactly the event
-// sequence Retain collection appends to the log.
-func TestStreamEmitsIdenticalEvents(t *testing.T) {
-	cfg := Config{
-		Tasks:  table2WithOffset(),
-		Faults: fault.Plan{"tau1": fault.OverrunEvery{First: 1, K: 3, Extra: ms(45)}},
-		End:    at(6000),
-	}
-	_, retained := run(t, cfg)
+// sinks names the two ways a run's events can leave the engine, for
+// table-driven tests: into a retained log or nowhere. The engine has
+// one event path, so its behaviour must not depend on which.
+var sinks = []struct {
+	name string
+	sink func() trace.Sink
+}{{"retain", func() trace.Sink { return trace.NewLog() }}, {"stream", func() trace.Sink { return nil }}}
 
-	sunk := trace.NewLog(4096)
-	streamCfg := cfg
-	streamCfg.Tasks = table2WithOffset()
-	streamCfg.Collect = Stream
-	streamCfg.Sink = sunk
-	e, log := run(t, streamCfg)
-	if log.Len() != 0 {
-		t.Errorf("streaming run retained %d events in its log", log.Len())
+// runBare runs cfg to the horizon with cfg's own sink alone.
+func runBare(t *testing.T, cfg Config) *Engine {
+	t.Helper()
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if sunk.EncodeString() != retained.EncodeString() {
-		t.Error("streamed event sequence differs from the retained log")
-	}
-	if e.Log().Len() != 0 {
-		t.Error("Log() must stay empty under Stream")
-	}
+	e.Run()
+	return e
 }
 
-// modes names the collection modes for table-driven tests.
-var modes = []struct {
-	name string
-	mode Collect
-}{{"retain", Retain}, {"stream", Stream}}
-
-// TestStreamRecyclesJobs: in both collection modes no finished job
-// survives — JobAt resolves live jobs only — while live jobs stay
-// reachable for the detectors' StopJob path.
+// TestStreamRecyclesJobs: whatever the sink, no finished job survives
+// — JobAt resolves live jobs only — while live jobs stay reachable for
+// the detectors' StopJob path.
 func TestStreamRecyclesJobs(t *testing.T) {
-	for _, m := range modes {
+	for _, m := range sinks {
 		t.Run(m.name, func(t *testing.T) {
 			live := 0
 			cfg := Config{
-				Tasks:   table2WithOffset(),
-				End:     at(3000),
-				Collect: m.mode,
+				Tasks: table2WithOffset(),
+				End:   at(3000),
+				Sink:  m.sink(),
 				Hooks: Hooks{
 					OnRelease: func(e *Engine, j *Job) {
 						if jj, ok := e.JobAt(j.TaskName(), j.Q); ok && jj == j {
@@ -61,7 +46,7 @@ func TestStreamRecyclesJobs(t *testing.T) {
 					},
 				},
 			}
-			e, _ := run(t, cfg)
+			e := runBare(t, cfg)
 			// Every release up to 3000 ms resolves while live: 16 of
 			// tau1, 13 of tau2, 2 of tau3.
 			if live != 31 {
@@ -76,21 +61,20 @@ func TestStreamRecyclesJobs(t *testing.T) {
 	}
 }
 
-// TestJobRecordsBoundedByLiveBacklog: in both collection modes the
-// engine hands out Job records from its pool, so a long run touches
-// about as many distinct records as were ever live at once, not one
-// per released job.
+// TestJobRecordsBoundedByLiveBacklog: whatever the sink, the engine
+// hands out Job records from its pool, so a long run touches about as
+// many distinct records as were ever live at once, not one per
+// released job.
 func TestJobRecordsBoundedByLiveBacklog(t *testing.T) {
-	for _, m := range modes {
+	for _, m := range sinks {
 		t.Run(m.name, func(t *testing.T) {
 			seen := map[*Job]bool{}
 			released, peak := 0, 0
 			cfg := Config{
-				Tasks:   table2WithOffset(),
-				Faults:  fault.Plan{"tau1": fault.OverrunEvery{First: 1, K: 3, Extra: ms(45)}},
-				End:     at(600_000),
-				Collect: m.mode,
-				Sink:    trace.Discard,
+				Tasks:  table2WithOffset(),
+				Faults: fault.Plan{"tau1": fault.OverrunEvery{First: 1, K: 3, Extra: ms(45)}},
+				End:    at(600_000),
+				Sink:   m.sink(),
 				Hooks: Hooks{
 					OnRelease: func(e *Engine, j *Job) {
 						released++
@@ -103,7 +87,7 @@ func TestJobRecordsBoundedByLiveBacklog(t *testing.T) {
 					},
 				},
 			}
-			run(t, cfg)
+			runBare(t, cfg)
 			// 3001 + 2401 + 400 releases over ten minutes.
 			if released != 5802 {
 				t.Fatalf("saw %d releases, want 5802", released)
@@ -180,42 +164,21 @@ func TestPendingPrefixNiledOut(t *testing.T) {
 	}
 }
 
-// TestStreamConfigValidation: unknown collection modes are rejected.
-func TestStreamConfigValidation(t *testing.T) {
-	set := table2WithOffset()
-	if _, err := New(Config{Tasks: set, End: at(100), Collect: Collect(99)}); err == nil {
-		t.Error("unknown collection mode must be rejected")
-	}
-}
-
-// TestRetainSinkTees: a sink set on a retained run sees the same
-// events the log records.
-func TestRetainSinkTees(t *testing.T) {
-	sunk := trace.NewLog(1024)
-	e, log := run(t, Config{Tasks: table2WithOffset(), End: at(1500), Sink: sunk})
-	if sunk.EncodeString() != log.EncodeString() {
-		t.Error("retained-run sink saw different events than the log")
-	}
-	if e.Log() != log {
-		t.Error("Log() must return the retained log")
-	}
-}
-
 // TestJobAtSameInstantCompletion pins JobAt's terminated-job
 // contract at the trickiest instant — a query from the OnFinish hook,
-// i.e. the very tick the job completes. In both collection modes the
-// job has already left the pending queue (and is about to be
-// recycled), so it must report missing: what a same-instant caller (a
+// i.e. the very tick the job completes. Whatever the sink, the job has
+// already left the pending queue (and is about to be recycled), so it
+// must report missing: what a same-instant caller (a
 // detector firing at the completion tick) must treat as "finished in
 // time".
 func TestJobAtSameInstantCompletion(t *testing.T) {
-	for _, m := range modes {
+	for _, m := range sinks {
 		t.Run(m.name, func(t *testing.T) {
 			queried := 0
 			cfg := Config{
-				Tasks:   table2WithOffset(),
-				End:     at(3000),
-				Collect: m.mode,
+				Tasks: table2WithOffset(),
+				End:   at(3000),
+				Sink:  m.sink(),
 				Hooks: Hooks{
 					OnFinish: func(e *Engine, j *Job) {
 						queried++
@@ -225,7 +188,7 @@ func TestJobAtSameInstantCompletion(t *testing.T) {
 					},
 				},
 			}
-			run(t, cfg)
+			runBare(t, cfg)
 			// Every job released before the horizon finishes: 15 of
 			// tau1, 12 of tau2, 2 of tau3.
 			if queried != 29 {

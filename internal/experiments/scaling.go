@@ -19,11 +19,11 @@ import (
 // makes task count a first-class workload axis, but exploring it is
 // only honest if the simulator's own per-event cost does not grow
 // with the task count. X10 pins that: synthetic systems from 10 to
-// 500 tasks run to the same horizon under streaming collection, and
-// the engine-loop events/sec is reported next to the dispatch
-// switches. With the policy-ordered ready queue the per-event cost
-// grows sub-linearly (logarithmically) in the task count — pinned by
-// TestDispatchCostSubLinear at the repository root.
+// 500 tasks run to the same horizon, their events counted and not
+// kept, and the engine-loop events/sec is reported next to the
+// dispatch switches. With the policy-ordered ready queue the
+// per-event cost grows sub-linearly (logarithmically) in the task
+// count — pinned by TestDispatchCostSubLinear at the repository root.
 
 // ScalingSizes is the default X10 axis.
 var ScalingSizes = []int{10, 50, 100, 250, 500}
@@ -80,9 +80,9 @@ func ScalingSet(n int, seed uint64) (*taskset.Set, error) {
 }
 
 // RunScalingPoint simulates one synthetic n-task system drawn by
-// ScalingSet to the horizon under streaming collection and measures
-// the engine loop. Admission control is deliberately skipped: X10
-// measures the substrate, not the analysis.
+// ScalingSet to the horizon, counting events in a sink that keeps
+// none, and measures the engine loop. Admission control is
+// deliberately skipped: X10 measures the substrate, not the analysis.
 func RunScalingPoint(n int, horizon vtime.Duration, seed uint64) (ScalingPoint, error) {
 	s, err := ScalingSet(n, seed)
 	if err != nil {
@@ -90,10 +90,9 @@ func RunScalingPoint(n int, horizon vtime.Duration, seed uint64) (ScalingPoint, 
 	}
 	sink := &scalingSink{}
 	e, err := engine.New(engine.Config{
-		Tasks:   s,
-		End:     vtime.Time(horizon),
-		Collect: engine.Stream,
-		Sink:    sink,
+		Tasks: s,
+		End:   vtime.Time(horizon),
+		Sink:  sink,
 	})
 	if err != nil {
 		return ScalingPoint{}, err

@@ -57,7 +57,7 @@ func TestAccumulatorMatchesAnalyze(t *testing.T) {
 // a job that misses its deadline and still completes, a job that
 // misses and never terminates, and a job pending at the horizon.
 func TestAccumulatorEdgeJobs(t *testing.T) {
-	l := trace.NewLog(16)
+	l := trace.NewLog()
 	// Dropped at release: response 0, stopped, failed, not missed.
 	l.Append(ev(0, trace.JobRelease, "drop", 0))
 	l.Append(ev(0, trace.JobStopped, "drop", 0))
@@ -92,7 +92,7 @@ func TestAccumulatorEdgeJobs(t *testing.T) {
 // detector releases must not create job records (they do not in
 // Analyze either), and system-wide events are skipped.
 func TestAccumulatorSchedulerDetailIgnored(t *testing.T) {
-	l := trace.NewLog(8)
+	l := trace.NewLog()
 	l.Append(ev(0, trace.JobPreempt, "a", 0))
 	l.Append(ev(0, trace.JobResume, "a", 0))
 	l.Append(ev(0, trace.DetectorRelease, "a", 3))

@@ -46,7 +46,7 @@ func at(ms int64) vtime.Time { return vtime.AtMillis(ms) }
 // terminates within the horizon) must report released counts with
 // zero response statistics, matching Analyze.
 func TestAccumulatorZeroJobTask(t *testing.T) {
-	l := trace.NewLog(8)
+	l := trace.NewLog()
 	l.Append(trace.Event{At: at(0), Kind: trace.JobRelease, Task: "idle", Job: 0})
 	l.Append(trace.Event{At: at(10), Kind: trace.JobRelease, Task: "idle", Job: 1})
 	// A second task that does work, so maps differ in shape.
@@ -77,7 +77,7 @@ func TestAccumulatorZeroJobTask(t *testing.T) {
 // and then stopped. The percentile sketch must stay empty (it covers
 // successes only) while counts and responses match Analyze.
 func TestAccumulatorAllFailedTask(t *testing.T) {
-	l := trace.NewLog(16)
+	l := trace.NewLog()
 	// Job 0: miss at 10, late completion at 12.
 	l.Append(trace.Event{At: at(0), Kind: trace.JobRelease, Task: "bad", Job: 0})
 	l.Append(trace.Event{At: at(0), Kind: trace.JobBegin, Task: "bad", Job: 0})
@@ -121,7 +121,7 @@ func TestAccumulatorAllFailedTask(t *testing.T) {
 // immediate stop; the response is zero but the job still counts as
 // released and failed, identically in both pipelines.
 func TestAccumulatorDropsAtRelease(t *testing.T) {
-	l := trace.NewLog(4)
+	l := trace.NewLog()
 	l.Append(trace.Event{At: at(5), Kind: trace.JobRelease, Task: "shed", Job: 0})
 	l.Append(trace.Event{At: at(5), Kind: trace.JobStopped, Task: "shed", Job: 0})
 	compareReports(t, l)
@@ -132,7 +132,7 @@ func TestAccumulatorDropsAtRelease(t *testing.T) {
 // records in either pipeline (a regression guard for the released
 // count, which only JobRelease-class events may establish).
 func TestAccumulatorIgnoresSchedulerDetail(t *testing.T) {
-	l := trace.NewLog(8)
+	l := trace.NewLog()
 	l.Append(trace.Event{At: at(0), Kind: trace.JobRelease, Task: "a", Job: 0})
 	l.Append(trace.Event{At: at(0), Kind: trace.JobBegin, Task: "a", Job: 0})
 	l.Append(trace.Event{At: at(1), Kind: trace.JobPreempt, Task: "a", Job: 0})

@@ -16,7 +16,7 @@ func ev(atMS int64, k trace.Kind, task string, job int64) trace.Event {
 // is detected faulty and stopped, tau2#0 misses its deadline and
 // completes late.
 func buildLog() *trace.Log {
-	l := trace.NewLog(32)
+	l := trace.NewLog()
 	l.Append(ev(0, trace.JobRelease, "tau1", 0))
 	l.Append(ev(0, trace.JobBegin, "tau1", 0))
 	l.Append(ev(29, trace.JobEnd, "tau1", 0))
@@ -97,7 +97,7 @@ func TestSystemAggregates(t *testing.T) {
 }
 
 func TestEmptyLog(t *testing.T) {
-	rep := Analyze(trace.NewLog(0))
+	rep := Analyze(trace.NewLog())
 	if rep.TotalReleased() != 0 || rep.SuccessRatio() != 1 {
 		t.Fatalf("empty log: %+v", rep)
 	}
@@ -108,7 +108,7 @@ func TestEmptyLog(t *testing.T) {
 }
 
 func TestSystemEventsIgnored(t *testing.T) {
-	l := trace.NewLog(4)
+	l := trace.NewLog()
 	l.Append(trace.Event{At: 0, Kind: trace.TaskAdded, Task: "dyn", Job: -1})
 	l.Append(trace.Event{At: 0, Kind: trace.TaskRemoved, Task: "", Job: -1})
 	rep := Analyze(l)
@@ -127,7 +127,7 @@ func TestRender(t *testing.T) {
 }
 
 func TestPendingJobAtTraceEnd(t *testing.T) {
-	l := trace.NewLog(4)
+	l := trace.NewLog()
 	l.Append(ev(0, trace.JobRelease, "a", 0))
 	l.Append(ev(0, trace.JobBegin, "a", 0))
 	rep := Analyze(l)
@@ -144,7 +144,7 @@ func TestPendingJobAtTraceEnd(t *testing.T) {
 }
 
 func TestResponsePercentile(t *testing.T) {
-	l := trace.NewLog(64)
+	l := trace.NewLog()
 	for i := int64(0); i < 10; i++ {
 		l.Append(trace.Event{At: vtime.AtMillis(i * 100), Kind: trace.JobRelease, Task: "a", Job: i})
 		l.Append(trace.Event{At: vtime.AtMillis(i*100 + i + 1), Kind: trace.JobEnd, Task: "a", Job: i})
@@ -186,7 +186,7 @@ func TestResponsePercentile(t *testing.T) {
 // instant, not delivered service — and a task whose jobs all failed
 // (or never finished) has no percentile at all.
 func TestResponsePercentileExcludesFailedJobs(t *testing.T) {
-	l := trace.NewLog(32)
+	l := trace.NewLog()
 	// a: responses 1..4 ms successful, plus a stopped job (9 ms) and
 	// a missed-but-finished job (8 ms) that must not count.
 	for i := int64(0); i < 4; i++ {

@@ -6,6 +6,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/taskset"
+	"repro/internal/trace"
 	"repro/internal/vtime"
 )
 
@@ -24,11 +25,13 @@ func TestVMMatchesEngineOnRandomSets(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Engine run.
-		e, err := engine.New(engine.Config{Tasks: s, End: vtime.Time(horizon)})
+		engLog := trace.NewLog()
+		e, err := engine.New(engine.Config{Tasks: s, End: vtime.Time(horizon), Sink: engLog})
 		if err != nil {
 			t.Fatal(err)
 		}
-		engRep := metrics.Analyze(e.Run())
+		e.Run()
+		engRep := metrics.Analyze(engLog)
 
 		// VM run of the same system.
 		vm := NewVM(VMConfig{Horizon: horizon})

@@ -92,7 +92,7 @@ func NewVM(cfg VMConfig) *VM {
 		cfg.StopPoll = vtime.Millisecond
 	}
 	if cfg.Log == nil {
-		cfg.Log = trace.NewLog(4096)
+		cfg.Log = trace.NewLog()
 	}
 	return &VM{cfg: cfg, log: cfg.Log, req: make(chan request)}
 }

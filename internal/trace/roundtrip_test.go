@@ -16,7 +16,7 @@ import (
 func randomLog(seed uint64, n int) *Log {
 	r := taskset.NewRand(seed)
 	tasks := []string{"tau1", "tau2", "t3", "server", ""}
-	l := NewLog(n)
+	l := NewLog()
 	at := vtime.Time(0)
 	for i := 0; i < n; i++ {
 		at = at.Add(vtime.Duration(r.Intn(3_000_000))) // 0..3 ms steps
@@ -120,7 +120,7 @@ func TestDecodeArgZeroCanonicalizes(t *testing.T) {
 // Kind outside the vocabulary renders as kind(N), which Decode
 // rejects — it cannot silently round-trip as a different event.
 func TestEncodeUnknownKindDoesNotRoundTrip(t *testing.T) {
-	l := NewLog(1)
+	l := NewLog()
 	l.Append(Event{At: 1, Kind: Kind(200), Task: "x", Job: 0})
 	if _, err := DecodeString(l.EncodeString()); err == nil ||
 		!strings.Contains(err.Error(), fmt.Sprintf("kind(%d)", 200)) {

@@ -5,9 +5,10 @@
 // misses). Events carry nanosecond virtual timestamps. Like the
 // paper's StringBuffer discipline, the recorder appends to an
 // in-memory Log during the run and is encoded to a log file only
-// afterwards, so recording cannot perturb the system. The Log's first
-// chunk is preallocated; growth adds a chunk and never moves an event
-// already recorded, so a long run pays no copying for its length.
+// afterwards, so recording cannot perturb the system. The Log grows in
+// chunks that double up to a fixed size and never moves an event
+// already recorded, so a short run pays for a short log and a long run
+// pays no copying for its length.
 package trace
 
 import (
@@ -128,14 +129,6 @@ type Sink interface {
 	Append(Event)
 }
 
-// Discard is the sink that drops every event — the bounded-memory
-// choice when neither the log nor an encoded spill is wanted.
-var Discard Sink = discard{}
-
-type discard struct{}
-
-func (discard) Append(Event) {}
-
 // Tee fans every event out to each sink in order. Nil entries are
 // skipped, so callers can pass optional sinks unconditionally.
 func Tee(sinks ...Sink) Sink {
@@ -189,28 +182,28 @@ func (s *WriterSink) Flush() error {
 	return s.bw.Flush()
 }
 
-// chunkSize is the capacity of every chunk a Log adds as it grows:
-// 4 096 events, 192 KiB.
-const chunkSize = 4096
+// A Log's first chunk holds firstChunk events (12 KiB); each later
+// chunk holds twice its predecessor's events, up to chunkSize (4 096
+// events, 192 KiB).
+const (
+	firstChunk = 256
+	chunkSize  = 4096
+)
 
 // Log is an append-only sequence of events ordered by record time. It
-// implements Sink. The events live in chunks: the first is the one
-// NewLog preallocates, and an append that finds the last chunk full
-// adds a chunk of chunkSize events, so recording never copies or
-// moves an event already recorded.
+// implements Sink. The events live in chunks: an append that finds the
+// last chunk full adds the next, so recording never copies or moves an
+// event already recorded, and appends within a chunk do not allocate,
+// as the paper's preallocated StringBuffer fields do not (§5).
 type Log struct {
 	full [][]Event // filled chunks, in record order
 	n    int       // events in full
 	tail []Event   // the chunk being filled
 }
 
-// NewLog returns a Log whose first chunk is preallocated for n events,
-// mirroring the paper's preallocated StringBuffer fields (§5): the
-// first n appends do not allocate, and each later chunk costs one
-// allocation without moving an event already recorded.
-func NewLog(n int) *Log {
-	return &Log{tail: make([]Event, 0, n)}
-}
+// NewLog returns an empty Log; its first Append allocates the first
+// chunk.
+func NewLog() *Log { return &Log{} }
 
 // Append records an event.
 func (l *Log) Append(e Event) {
@@ -220,9 +213,10 @@ func (l *Log) Append(e Event) {
 	l.tail = append(l.tail, e)
 }
 
-// grow retires the full tail chunk and starts a new one.
+// grow retires the full tail chunk and starts the next one.
 func (l *Log) grow() {
-	if cap(l.tail) > 0 {
+	n := firstChunk
+	if c := cap(l.tail); c > 0 {
 		if l.full == nil {
 			// Room for eight chunks, so the list itself grows
 			// rarely next to the chunks it holds.
@@ -230,8 +224,9 @@ func (l *Log) grow() {
 		}
 		l.full = append(l.full, l.tail)
 		l.n += len(l.tail)
+		n = min(2*c, chunkSize)
 	}
-	l.tail = make([]Event, 0, chunkSize)
+	l.tail = make([]Event, 0, n)
 }
 
 // Len returns the number of recorded events.
@@ -350,7 +345,7 @@ func (l *Log) EncodeString() string {
 
 // Decode parses a log in the Encode format.
 func Decode(r io.Reader) (*Log, error) {
-	l := NewLog(256)
+	l := NewLog()
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<22)
 	lineno := 0

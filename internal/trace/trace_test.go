@@ -15,7 +15,7 @@ func ev(atMS int64, k Kind, task string, job int64) Event {
 }
 
 func sample() *Log {
-	l := NewLog(16)
+	l := NewLog()
 	l.Append(ev(0, JobRelease, "tau1", 0))
 	l.Append(ev(0, JobBegin, "tau1", 0))
 	l.Append(ev(29, JobEnd, "tau1", 0))
@@ -146,7 +146,7 @@ func TestQuickRoundTrip(t *testing.T) {
 			atNS = -atNS
 		}
 		k := Kind(kindRaw % 13)
-		l := NewLog(1)
+		l := NewLog()
 		l.Append(Event{At: vtime.Time(atNS), Kind: k, Task: "t", Job: job, Arg: arg})
 		back, err := DecodeString(l.EncodeString())
 		if err != nil || back.Len() != 1 {
@@ -159,29 +159,47 @@ func TestQuickRoundTrip(t *testing.T) {
 	}
 }
 
-// TestAppendDoesNotAllocateWithinCapacity: appends that fit the chunk
-// NewLog preallocated never allocate — the §5 recording discipline.
+// TestAppendDoesNotAllocateWithinCapacity: once the first Append has
+// allocated the first chunk, appends that fit it never allocate — the
+// §5 recording discipline.
 func TestAppendDoesNotAllocateWithinCapacity(t *testing.T) {
 	const runs = 100
-	l := NewLog(runs + 1) // AllocsPerRun calls the function once more to warm up
+	l := NewLog()
+	l.Append(Event{At: 0, Kind: JobRelease, Task: "x"})
+	// AllocsPerRun calls the function once more to warm up.
 	allocs := testing.AllocsPerRun(runs, func() {
 		l.Append(Event{At: 1, Kind: JobBegin, Task: "x"})
 	})
 	if allocs > 0 {
 		t.Errorf("Append allocates %.1f per call within capacity; the §5 recording discipline requires none", allocs)
 	}
-	if l.Len() != runs+1 {
-		t.Fatalf("Len = %d, want %d", l.Len(), runs+1)
+	if l.Len() != runs+2 || l.full != nil {
+		t.Fatalf("Len = %d in %d chunks, want %d in one", l.Len(), len(l.full)+1, runs+2)
 	}
 }
 
-// TestAppendNeverCopies: growing across three chunks leaves the first
-// recorded event where it was, and costs at most one allocation per
-// chunk: each added chunk, plus the short chunk list.
+// chunkEnds returns the event counts at which the first k chunks are
+// exactly full: 256, 768, 1 792, 3 840, 7 936, then one more chunkSize
+// per chunk.
+func chunkEnds(k int) []int {
+	ends := make([]int, k)
+	for i, c, n := 0, firstChunk, 0; i < k; i++ {
+		n += c
+		ends[i] = n
+		c = min(2*c, chunkSize)
+	}
+	return ends
+}
+
+// TestAppendNeverCopies: growing across seven chunks leaves the first
+// recorded event where it was, doubles each chunk's capacity up to
+// chunkSize, and costs at most one allocation per chunk: each added
+// chunk, plus the short chunk list.
 func TestAppendNeverCopies(t *testing.T) {
-	const chunks = 3
+	const chunks = 7
+	ends := chunkEnds(chunks)
 	fill := func(n int) *Log {
-		l := NewLog(chunkSize)
+		l := NewLog()
 		for i := 0; i < n; i++ {
 			l.Append(Event{At: vtime.Time(i), Kind: JobBegin, Task: "a", Job: int64(i)})
 		}
@@ -189,11 +207,17 @@ func TestAppendNeverCopies(t *testing.T) {
 	}
 	l := fill(1)
 	first := &l.Events()[0]
-	for i := 1; i < chunks*chunkSize; i++ {
+	for i := 1; i < ends[chunks-1]; i++ {
 		l.Append(Event{At: vtime.Time(i), Kind: JobBegin, Task: "a", Job: int64(i)})
 	}
 	if got := len(l.full) + 1; got != chunks {
 		t.Fatalf("log holds %d chunks, want %d", got, chunks)
+	}
+	for i, c := range append(l.full, l.tail) {
+		want := min(firstChunk<<i, chunkSize)
+		if cap(c) != want || len(c) != want {
+			t.Errorf("chunk %d holds %d of %d events, want %d of %d", i, len(c), cap(c), want, want)
+		}
 	}
 	if &l.full[0][0] != first {
 		t.Error("growth moved the first recorded event")
@@ -202,94 +226,94 @@ func TestAppendNeverCopies(t *testing.T) {
 		t.Errorf("first event changed to %+v", *first)
 	}
 	// AllocsPerRun averages over whole runs, so a stray runtime
-	// allocation cannot tip the count; NewLog's own allocations cancel.
-	one := testing.AllocsPerRun(10, func() { fill(chunkSize) })
-	three := testing.AllocsPerRun(10, func() { fill(chunks * chunkSize) })
-	if grown := three - one; grown > chunks {
+	// allocation cannot tip the count; NewLog's own allocations and
+	// the first chunk's cancel.
+	one := testing.AllocsPerRun(10, func() { fill(ends[0]) })
+	all := testing.AllocsPerRun(10, func() { fill(ends[chunks-1]) })
+	if grown := all - one; grown > chunks {
 		t.Errorf("growing from one chunk to %d allocated %.0f times, want at most %d", chunks, grown, chunks)
 	}
 }
 
 // TestChunkBoundaries checks every accessor against a flat slice of the
 // same events at the sizes where chunking could go wrong: exactly one
-// chunk, one chunk plus one event, and three chunks, from a preallocated
-// first chunk and from an empty one.
+// chunk, one chunk plus one event, the five doubling chunks full, one
+// event past six chunks, and seven full chunks.
 func TestChunkBoundaries(t *testing.T) {
 	names := []string{"b", "a", "", "c"}
-	for _, prealloc := range []int{0, chunkSize} {
-		for _, n := range []int{chunkSize, chunkSize + 1, 3 * chunkSize} {
-			l := NewLog(prealloc)
-			var flat []Event
-			for i := 0; i < n; i++ {
-				e := Event{At: vtime.Time(i), Kind: Kind(i % 14), Task: names[i%len(names)], Job: int64(i / 4), Arg: int64(i % 3)}
-				l.Append(e)
-				flat = append(flat, e)
+	ends := chunkEnds(7)
+	for _, n := range []int{ends[0], ends[0] + 1, ends[4], ends[5] + 1, ends[6]} {
+		l := NewLog()
+		var flat []Event
+		for i := 0; i < n; i++ {
+			e := Event{At: vtime.Time(i), Kind: Kind(i % 14), Task: names[i%len(names)], Job: int64(i / 4), Arg: int64(i % 3)}
+			l.Append(e)
+			flat = append(flat, e)
+		}
+		name := fmt.Sprintf("n=%d", n)
+		if l.Len() != n {
+			t.Fatalf("%s: Len = %d", name, l.Len())
+		}
+		var walked []Event
+		for e := range l.All() {
+			walked = append(walked, e)
+		}
+		sameEvents(t, name+" All", walked, flat)
+		keep := func(e Event) bool { return e.Kind == JobEnd || e.Arg == 2 }
+		var kept, win, ofA []Event
+		from, to := vtime.Time(ends[0]-3), vtime.Time(ends[0]+2)
+		for _, e := range flat {
+			if keep(e) {
+				kept = append(kept, e)
 			}
-			name := fmt.Sprintf("prealloc=%d/n=%d", prealloc, n)
-			if l.Len() != n {
-				t.Fatalf("%s: Len = %d", name, l.Len())
+			if !e.At.Before(from) && e.At.Before(to) {
+				win = append(win, e)
 			}
-			var walked []Event
-			for e := range l.All() {
-				walked = append(walked, e)
+			if e.Task == "a" {
+				ofA = append(ofA, e)
 			}
-			sameEvents(t, name+" All", walked, flat)
-			keep := func(e Event) bool { return e.Kind == JobEnd || e.Arg == 2 }
-			var kept, win, ofA []Event
-			from, to := vtime.Time(chunkSize-3), vtime.Time(chunkSize+2)
-			for _, e := range flat {
-				if keep(e) {
-					kept = append(kept, e)
-				}
-				if !e.At.Before(from) && e.At.Before(to) {
-					win = append(win, e)
-				}
-				if e.Task == "a" {
-					ofA = append(ofA, e)
-				}
-			}
-			sameEvents(t, name+" Filter", l.Filter(keep), kept)
-			sameEvents(t, name+" Window", l.Window(from, to), win)
-			sameEvents(t, name+" TaskEvents", l.TaskEvents("a"), ofA)
-			if got := strings.Join(l.Tasks(), ","); got != "a,b,c" {
-				t.Errorf("%s: Tasks = %s", name, got)
-			}
-			var want strings.Builder
-			bw := bufio.NewWriter(&want)
-			for _, e := range flat {
-				if err := writeEvent(bw, e); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := bw.Flush(); err != nil {
+		}
+		sameEvents(t, name+" Filter", l.Filter(keep), kept)
+		sameEvents(t, name+" Window", l.Window(from, to), win)
+		sameEvents(t, name+" TaskEvents", l.TaskEvents("a"), ofA)
+		if got := strings.Join(l.Tasks(), ","); got != "a,b,c" {
+			t.Errorf("%s: Tasks = %s", name, got)
+		}
+		var want strings.Builder
+		bw := bufio.NewWriter(&want)
+		for _, e := range flat {
+			if err := writeEvent(bw, e); err != nil {
 				t.Fatal(err)
 			}
-			if l.EncodeString() != want.String() {
-				t.Errorf("%s: Encode differs from the flat encoding", name)
-			}
-			sameEvents(t, name+" Events", l.Events(), flat)
-			// Events only reads the log: appending after it keeps
-			// record order.
-			extra := Event{At: vtime.Time(n), Kind: JobEnd, Task: "z"}
-			l.Append(extra)
-			flat = append(flat, extra)
-			sameEvents(t, name+" Events after append", l.Events(), flat)
-			walked = walked[:0]
-			for e := range l.All() {
-				walked = append(walked, e)
-			}
-			sameEvents(t, name+" All after append", walked, flat)
 		}
+		if err := bw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if l.EncodeString() != want.String() {
+			t.Errorf("%s: Encode differs from the flat encoding", name)
+		}
+		sameEvents(t, name+" Events", l.Events(), flat)
+		// Events only reads the log: appending after it keeps
+		// record order.
+		extra := Event{At: vtime.Time(n), Kind: JobEnd, Task: "z"}
+		l.Append(extra)
+		flat = append(flat, extra)
+		sameEvents(t, name+" Events after append", l.Events(), flat)
+		walked = walked[:0]
+		for e := range l.All() {
+			walked = append(walked, e)
+		}
+		sameEvents(t, name+" All after append", walked, flat)
 	}
 }
 
 // TestAllStopsEarly: breaking out of a walk stops it in either chunk.
 func TestAllStopsEarly(t *testing.T) {
-	l := NewLog(1)
-	for i := 0; i < chunkSize+2; i++ {
+	l := NewLog()
+	for i := 0; i < firstChunk+2; i++ {
 		l.Append(Event{At: vtime.Time(i)})
 	}
-	for _, stop := range []int{0, 1, chunkSize + 1} {
+	for _, stop := range []int{0, 1, firstChunk + 1} {
 		seen := 0
 		for e := range l.All() {
 			if int(e.At) == stop {
@@ -305,7 +329,7 @@ func TestAllStopsEarly(t *testing.T) {
 
 // TestAllDoesNotAllocate: the whole-log walk allocates nothing.
 func TestAllDoesNotAllocate(t *testing.T) {
-	l := NewLog(0)
+	l := NewLog()
 	for i := 0; i < 2*chunkSize+7; i++ {
 		l.Append(Event{At: vtime.Time(i), Kind: JobRelease, Task: "a"})
 	}

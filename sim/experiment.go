@@ -2,8 +2,7 @@ package sim
 
 import (
 	"context"
-	"fmt"
-	"sync"
+	"slices"
 )
 
 // RunOptions configures how an experiment executes its independent
@@ -23,70 +22,29 @@ type Result struct {
 	Text string
 }
 
-// Experiment is a registered, named reproduction artefact: one table,
-// figure or sweep. Implementations must be safe to Run repeatedly and
-// deterministic for fixed RunOptions-independent inputs.
-type Experiment interface {
-	// Name is the registry key (e.g. "table2", "fig5", "x2").
-	Name() string
+// Experiment is a named reproduction artefact: one table, figure or
+// sweep. Run must be safe to call repeatedly and deterministic for
+// fixed RunOptions-independent inputs.
+type Experiment struct {
+	// Name is the lookup key (e.g. "table2", "fig5", "x2").
+	Name string
 	// Description is a one-line summary for listings, naming the
 	// paper artefact it reproduces.
-	Description() string
+	Description string
 	// Run produces the artefact.
-	Run(ctx context.Context, opt RunOptions) (Result, error)
-}
-
-var (
-	expMu    sync.RWMutex
-	expByKey = map[string]Experiment{}
-	expOrder []Experiment
-)
-
-// RegisterExperiment adds an experiment to the registry. It panics on
-// a duplicate or empty name — registration happens at init time.
-func RegisterExperiment(e Experiment) {
-	expMu.Lock()
-	defer expMu.Unlock()
-	name := e.Name()
-	if name == "" {
-		panic("sim: RegisterExperiment with empty name")
-	}
-	if _, dup := expByKey[name]; dup {
-		panic(fmt.Sprintf("sim: experiment %q registered twice", name))
-	}
-	expByKey[name] = e
-	expOrder = append(expOrder, e)
+	Run func(ctx context.Context, opt RunOptions) (Result, error)
 }
 
 // LookupExperiment returns the named experiment.
 func LookupExperiment(name string) (Experiment, bool) {
-	expMu.RLock()
-	defer expMu.RUnlock()
-	e, ok := expByKey[name]
-	return e, ok
+	for _, e := range experimentTable {
+		if e.Name == name {
+			return e, true
+		}
+	}
+	return Experiment{}, false
 }
 
-// Experiments returns every registered experiment in registration
-// order (the order cmd/rtexp runs and lists them).
-func Experiments() []Experiment {
-	expMu.RLock()
-	defer expMu.RUnlock()
-	return append([]Experiment(nil), expOrder...)
-}
-
-// NewExperiment wraps a function as a registrable Experiment.
-func NewExperiment(name, description string, run func(ctx context.Context, opt RunOptions) (Result, error)) Experiment {
-	return funcExperiment{name: name, description: description, run: run}
-}
-
-type funcExperiment struct {
-	name        string
-	description string
-	run         func(ctx context.Context, opt RunOptions) (Result, error)
-}
-
-func (e funcExperiment) Name() string        { return e.name }
-func (e funcExperiment) Description() string { return e.description }
-func (e funcExperiment) Run(ctx context.Context, opt RunOptions) (Result, error) {
-	return e.run(ctx, opt)
-}
+// Experiments returns every experiment in the order cmd/rtexp runs
+// and lists them.
+func Experiments() []Experiment { return slices.Clone(experimentTable) }

@@ -87,22 +87,34 @@ func TestRegistryMatchesDirectCalls(t *testing.T) {
 	}
 }
 
-// TestRegistryCoversRtexpArtefacts pins the registry inventory and
-// its order (the order cmd/rtexp prints).
+// TestRegistryCoversRtexpArtefacts pins the experiment table's
+// inventory and its order (the order cmd/rtexp prints): unique names,
+// each with a description and a Run, each found by LookupExperiment.
 func TestRegistryCoversRtexpArtefacts(t *testing.T) {
 	want := []string{"table1", "table2", "table3", "fig3", "fig4", "fig5", "fig6", "fig7",
 		"x1", "x2", "x3", "x9", "x5", "x4", "x10", "x11", "x12", "x13", "x14", "x15"}
 	got := Experiments()
 	if len(got) != len(want) {
-		t.Fatalf("registry has %d experiments, want %d", len(got), len(want))
+		t.Fatalf("table has %d experiments, want %d", len(got), len(want))
 	}
+	seen := map[string]bool{}
 	for i, e := range got {
-		if e.Name() != want[i] {
-			t.Errorf("experiment %d = %q, want %q", i, e.Name(), want[i])
+		if e.Name != want[i] {
+			t.Errorf("experiment %d = %q, want %q", i, e.Name, want[i])
 		}
-		if e.Description() == "" {
-			t.Errorf("experiment %q has no description", e.Name())
+		if seen[e.Name] {
+			t.Errorf("experiment %q listed twice", e.Name)
 		}
+		seen[e.Name] = true
+		if e.Description == "" || e.Run == nil {
+			t.Errorf("experiment %q has no description or no Run", e.Name)
+		}
+		if l, ok := LookupExperiment(e.Name); !ok || l.Description != e.Description {
+			t.Errorf("LookupExperiment(%q) = %q, %v", e.Name, l.Name, ok)
+		}
+	}
+	if _, ok := LookupExperiment("x6"); ok {
+		t.Error("LookupExperiment found an experiment that is not in the table")
 	}
 }
 

@@ -279,10 +279,6 @@ func (s *System) compile(observe bool) (*compiled, error) {
 	if err != nil {
 		return nil, err
 	}
-	collect := engine.Retain
-	if sc.Streaming() {
-		collect = engine.Stream
-	}
 	var sink trace.Sink
 	if s.spill != nil {
 		c.spill = trace.NewWriterSink(s.spill)
@@ -312,7 +308,7 @@ func (s *System) compile(observe bool) (*compiled, error) {
 		CPUs:            sc.CPUs,
 		Partition:       partition,
 		Sources:         sources,
-		Collect:         collect,
+		Stream:          sc.Streaming(),
 		TraceSink:       sink,
 		FastForward:     sc.FastForward,
 		Oracle:          oracle,
