@@ -146,11 +146,12 @@ perfbench-smoke:
 	done
 
 # Short native-fuzz smoke over the scenario space, the log codec, the
-# analysis of decoded logs, and the checkpoint split/resume
-# differential.
+# packed in-memory log, the analysis of decoded logs, and the
+# checkpoint split/resume differential.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzScenario -fuzztime 10s ./internal/verify/gen
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 10s ./internal/trace
+	$(GO) test -run '^$$' -fuzz FuzzLog -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzAnalyze -fuzztime 10s ./internal/metrics
 	$(GO) test -run '^$$' -fuzz FuzzCheckpoint -fuzztime 10s ./internal/verify/gen
 

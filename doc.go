@@ -111,13 +111,16 @@
 // keeps its events is decided in one place, package core. A run
 // retains, by default, every trace event: core tees a trace.Log it
 // owns into the engine's sink chain and analyzes it after the run —
-// memory linear in the horizon, but little time. trace.Log stores
-// events in chunks that double from 256 events up to 4 096, so growth
-// never copies a recorded event and a short run allocates a short log,
-// and metrics.Analyze rebuilds the jobs in one pass through a per-task
-// index, with no map entry or pointer per job. On
-// BenchmarkCollectRetain10m a retained run costs 323 bytes per job
-// against the streamed run's 12 (2-core container, go1.24.0).
+// memory linear in the horizon, but little time. trace.Log packs each
+// event into a pointer-free varint record of about 7 bytes that names
+// its task by an index into the log's table of names, in byte chunks
+// that double from 2 KiB up to 64 KiB, so growth never copies a
+// recorded byte and a short run allocates a short log.
+// metrics.Analyze rebuilds the jobs in one pass, finding each event's
+// task by its table index and each job through a per-task index, with
+// no map entry or pointer per job. On BenchmarkCollectRetain10m a
+// retained run costs 132 bytes per job against the streamed run's 12
+// (2-core container, go1.24.0).
 // Streaming collection (the scenario "collect" block, mode
 // sim.CollectStream, rtrun -stream) bounds memory for long-horizon and
 // soak runs: core keeps no log and tees a metrics.Accumulator into the

@@ -165,31 +165,24 @@ func (t *taskJobs) positions(yield func(int) bool) {
 	}
 }
 
-// Analyze reconstructs jobs and summaries from a trace log. A cheap
-// first pass counts the releases to size Jobs; one pass over the
-// events then builds every record, with no map entry or pointer per
-// job; a sequential walk of the records fills the summaries. Jobs come
+// Analyze reconstructs jobs and summaries from a trace log. One pass
+// over the events builds every record, with no map entry or pointer
+// per job, into a job list sized from the log's release count; a
+// sequential walk of the records then fills the summaries. Jobs come
 // out in order of first appearance. A task's jobs are found through
-// its index, and the task name is looked up once per run of same-task
-// events, never per job.
+// its index, and the task through its position in the log's task
+// table, so no event's name is hashed.
 func Analyze(l *trace.Log) *Report {
-	releases := 0
-	for e := range l.All() {
-		if e.Kind == trace.JobRelease && e.Task != "" && e.Job >= 0 {
-			releases++
-		}
-	}
 	rep := &Report{Tasks: map[string]*TaskSummary{}, byTask: map[string]*taskJobs{}}
 	var (
-		task  string
-		t     *taskJobs
+		tasks []*taskJobs    // tasks[i] indexes the task at table index i
 		owner []*TaskSummary // owner[i] summarizes Jobs[i]'s task
 	)
-	if releases > 0 {
-		rep.Jobs = make([]JobRecord, 0, releases)
-		owner = make([]*TaskSummary, 0, releases)
+	if n := l.Releases(); n > 0 {
+		rep.Jobs = make([]JobRecord, 0, n)
+		owner = make([]*TaskSummary, 0, n)
 	}
-	for e := range l.All() {
+	for id, e := range l.TaskIndexed() {
 		if e.Task == "" || e.Job < 0 {
 			continue
 		}
@@ -199,18 +192,20 @@ func Analyze(l *trace.Log) *Report {
 		default:
 			continue
 		}
-		if t == nil || e.Task != task {
-			task = e.Task
-			if t = rep.byTask[task]; t == nil {
-				t = &taskJobs{sum: TaskSummary{Task: task}, base: e.Job}
-				rep.byTask[task] = t
-				rep.Tasks[task] = &t.sum
-			}
+		if id >= len(tasks) {
+			tasks = append(tasks, make([]*taskJobs, id+1-len(tasks))...)
+		}
+		t := tasks[id]
+		if t == nil {
+			t = &taskJobs{sum: TaskSummary{Task: e.Task}, base: e.Job}
+			tasks[id] = t
+			rep.byTask[e.Task] = t
+			rep.Tasks[e.Task] = &t.sum
 		}
 		pos, ok := t.find(e.Job)
 		if !ok {
 			pos = len(rep.Jobs)
-			rep.Jobs = append(rep.Jobs, JobRecord{Task: task, Q: e.Job})
+			rep.Jobs = append(rep.Jobs, JobRecord{Task: e.Task, Q: e.Job})
 			owner = append(owner, &t.sum)
 			t.add(e.Job, pos)
 		}

@@ -597,6 +597,32 @@ func TestNegativeExtraRefused(t *testing.T) {
 	}
 }
 
+// TestUntraceableTaskNameRefused: figure5.json with tau2 renamed
+// "tau 2" or "-" is refused with a 400 naming the task, before any
+// worker runs it: the trace text format splits on white space and
+// reads "-" as a system-wide event, so the run's log could not be
+// read back.
+func TestUntraceableTaskNameRefused(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join("..", "..", "testdata", "scenarios", "figure5.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	for _, name := range []string{"tau 2", "-"} {
+		bad := bytes.Replace(doc, []byte(`"name": "tau2"`), []byte(`"name": "`+name+`"`), 1)
+		if bytes.Equal(bad, doc) {
+			t.Fatal(`figure5.json has no "name": "tau2" to rename`)
+		}
+		if rec := post(t, s, "/v1/simulate", bad); rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), name) {
+			t.Errorf("task %q: status %d, want 400 naming the task: %s", name, rec.Code, rec.Body.String())
+		}
+	}
+	if snap := s.Metrics(); snap.BadRequests != 2 || snap.CacheMisses != 0 {
+		t.Errorf("metrics after two refusals: %+v", snap)
+	}
+}
+
 // TestMetricsEndpoint pins the /metrics document shape and that the
 // counters move. The canonical body misses and its repeat is a raw
 // hit; the compacted body hits through decode and digest, and its

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"unicode"
 
 	"repro/internal/vtime"
 )
@@ -59,11 +60,18 @@ func (t Task) Utilization() float64 {
 	return float64(t.Cost) / float64(t.Period)
 }
 
-// Validate reports whether the task parameters are well formed.
+// Validate reports whether the task parameters are well formed. The
+// name must be one the trace text format can carry: not "-", which
+// the format reads as a system-wide event, and free of white space,
+// which separates its fields.
 func (t Task) Validate() error {
 	switch {
 	case t.Name == "":
 		return fmt.Errorf("taskset: task has no name")
+	case t.Name == "-":
+		return fmt.Errorf("taskset: task %q: the trace format reads \"-\" as a system-wide event", t.Name)
+	case strings.IndexFunc(t.Name, unicode.IsSpace) >= 0:
+		return fmt.Errorf("taskset: task %q: name contains white space, which the trace format splits on", t.Name)
 	case t.Period <= 0:
 		return fmt.Errorf("taskset: task %s: period must be positive, got %v", t.Name, t.Period)
 	case t.Cost <= 0:

@@ -1,6 +1,7 @@
 package taskset
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -20,6 +21,10 @@ func TestValidateRejectsBadTasks(t *testing.T) {
 		task Task
 	}{
 		{"no name", Task{Priority: 1, Period: ms(10), Deadline: ms(10), Cost: ms(1)}},
+		{"name -", Task{Name: "-", Period: ms(10), Deadline: ms(10), Cost: ms(1)}},
+		{"name with a space", Task{Name: "tau 2", Period: ms(10), Deadline: ms(10), Cost: ms(1)}},
+		{"name with a tab", Task{Name: "tau\t2", Period: ms(10), Deadline: ms(10), Cost: ms(1)}},
+		{"name with a no-break space", Task{Name: "tau\u00a02", Period: ms(10), Deadline: ms(10), Cost: ms(1)}},
 		{"zero period", Task{Name: "x", Period: 0, Deadline: ms(10), Cost: ms(1)}},
 		{"negative period", Task{Name: "x", Period: -ms(1), Deadline: ms(10), Cost: ms(1)}},
 		{"zero cost", Task{Name: "x", Period: ms(10), Deadline: ms(10), Cost: 0}},
@@ -30,10 +35,14 @@ func TestValidateRejectsBadTasks(t *testing.T) {
 	for _, c := range cases {
 		if err := c.task.Validate(); err == nil {
 			t.Errorf("%s: expected validation error", c.name)
+		} else if msg := err.Error(); !strings.Contains(msg, c.task.Name) && !strings.Contains(msg, strconv.Quote(c.task.Name)) {
+			t.Errorf("%s: error %q does not name the task", c.name, err)
 		}
 	}
-	if err := valid("ok", 1, 10, 10, 1).Validate(); err != nil {
-		t.Errorf("valid task rejected: %v", err)
+	for _, name := range []string{"ok", "-x", "x-", "τ1", "a-b_c.d"} {
+		if err := valid(name, 1, 10, 10, 1).Validate(); err != nil {
+			t.Errorf("valid task %q rejected: %v", name, err)
+		}
 	}
 }
 

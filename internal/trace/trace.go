@@ -5,17 +5,21 @@
 // misses). Events carry nanosecond virtual timestamps. Like the
 // paper's StringBuffer discipline, the recorder appends to an
 // in-memory Log during the run and is encoded to a log file only
-// afterwards, so recording cannot perturb the system. The Log grows in
-// chunks that double up to a fixed size and never moves an event
-// already recorded, so a short run pays for a short log and a long run
-// pays no copying for its length.
+// afterwards, so recording cannot perturb the system. The Log packs
+// each event into a varint record of about 7 bytes, naming its task by
+// an index into a per-log table of names, and grows in byte chunks
+// that double up to a fixed size and never move a recorded byte, so a
+// short run pays for a short log, a long run pays no copying for its
+// length, and the garbage collector has no pointer to scan in either.
 package trace
 
 import (
 	"bufio"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"iter"
+	"math/bits"
 	"sort"
 	"strconv"
 	"strings"
@@ -182,23 +186,57 @@ func (s *WriterSink) Flush() error {
 	return s.bw.Flush()
 }
 
-// A Log's first chunk holds firstChunk events (12 KiB); each later
-// chunk holds twice its predecessor's events, up to chunkSize (4 096
-// events, 192 KiB).
+// A Log's first chunk holds firstChunk bytes (2 KiB); each later chunk
+// holds twice its predecessor's bytes, up to chunkSize (64 KiB). A
+// record never spans two chunks; maxRecord bounds one: a kind byte and
+// four varints.
 const (
-	firstChunk = 256
-	chunkSize  = 4096
+	firstChunk = 2 << 10
+	chunkSize  = 64 << 10
+	maxRecord  = 1 + 4*binary.MaxVarintLen64
 )
 
 // Log is an append-only sequence of events ordered by record time. It
-// implements Sink. The events live in chunks: an append that finds the
-// last chunk full adds the next, so recording never copies or moves an
-// event already recorded, and appends within a chunk do not allocate,
-// as the paper's preallocated StringBuffer fields do not (§5).
+// implements Sink. Each event is one packed record: its kind byte, the
+// uvarint index of its task's name in the log's task table, then
+// zigzag varints of Job, Arg and At minus the previous record's At
+// (signed, since a decoded log need not be in time order). An engine
+// event takes about 7 bytes where an Event takes 48, and the chunks
+// hold no pointers for the garbage collector to scan. Records live in
+// byte chunks: an append that finds no room in the last chunk adds the
+// next, so recording never copies or moves a recorded byte, and appends
+// within a chunk do not allocate, as the paper's preallocated
+// StringBuffer fields do not (§5). Every accessor decodes as it walks.
 type Log struct {
-	full [][]Event // filled chunks, in record order
-	n    int       // events in full
-	tail []Event   // the chunk being filled
+	full [][]byte   // filled chunks, in record order
+	tail []byte     // the chunk being filled
+	n    int        // events recorded
+	at   vtime.Time // the last record's At
+
+	names []string       // the task table, in order of first appearance
+	ids   map[string]int // index of each name in names
+	// recent caches names' indices in a direct-mapped table, so a run
+	// alternating among a few tasks finds each name with one
+	// comparison instead of a hash.
+	recent [recentSlots]nameRef
+
+	releases int // JobRelease events of a named task with Job ≥ 0
+}
+
+// recentSlots sizes Log.recent; slotOf mixes a name's last byte with
+// its length, which keeps names such as t1 … t19 in distinct slots.
+const recentSlots = 32
+
+type nameRef struct {
+	name string
+	id   int // table index plus one; 0 marks an empty slot
+}
+
+func slotOf(name string) int {
+	if name == "" {
+		return 0
+	}
+	return int(name[len(name)-1]^byte(len(name)<<4)) % recentSlots
 }
 
 // NewLog returns an empty Log; its first Append allocates the first
@@ -207,64 +245,150 @@ func NewLog() *Log { return &Log{} }
 
 // Append records an event.
 func (l *Log) Append(e Event) {
-	if len(l.tail) == cap(l.tail) {
-		l.grow()
+	ref := &l.recent[slotOf(e.Task)]
+	if ref.id == 0 || ref.name != e.Task {
+		ref.name, ref.id = e.Task, l.intern(e.Task)+1
 	}
-	l.tail = append(l.tail, e)
+	id := uint64(ref.id - 1)
+	// The At step wraps around at ±2^63, as decoding's sum does.
+	job, arg, step := zigzag(e.Job), zigzag(e.Arg), zigzag(int64(e.At-l.at))
+	t := l.tail
+	if room := cap(t) - len(t); room < maxRecord &&
+		room < 1+uvarintLen(id)+uvarintLen(job)+uvarintLen(arg)+uvarintLen(step) {
+		t = l.grow()
+	}
+	t = append(t, byte(e.Kind))
+	t = binary.AppendUvarint(t, id)
+	t = binary.AppendUvarint(t, job)
+	t = binary.AppendUvarint(t, arg)
+	l.tail = binary.AppendUvarint(t, step)
+	l.at = e.At
+	l.n++
+	if e.Kind == JobRelease && e.Task != "" && e.Job >= 0 {
+		l.releases++
+	}
 }
 
-// grow retires the full tail chunk and starts the next one.
-func (l *Log) grow() {
+// intern returns the index of a task name, adding it to the table on
+// first sight.
+func (l *Log) intern(name string) int {
+	id, ok := l.ids[name]
+	if !ok {
+		if l.ids == nil {
+			l.ids = make(map[string]int)
+		}
+		id = len(l.names)
+		l.names = append(l.names, name)
+		l.ids[name] = id
+	}
+	return id
+}
+
+// grow retires the tail chunk and returns the next one, empty.
+func (l *Log) grow() []byte {
 	n := firstChunk
 	if c := cap(l.tail); c > 0 {
 		if l.full == nil {
 			// Room for eight chunks, so the list itself grows
 			// rarely next to the chunks it holds.
-			l.full = make([][]Event, 0, 8)
+			l.full = make([][]byte, 0, 8)
 		}
 		l.full = append(l.full, l.tail)
-		l.n += len(l.tail)
 		n = min(2*c, chunkSize)
 	}
-	l.tail = make([]Event, 0, n)
+	l.tail = make([]byte, 0, n)
+	return l.tail
 }
 
 // Len returns the number of recorded events.
-func (l *Log) Len() int { return l.n + len(l.tail) }
+func (l *Log) Len() int { return l.n }
 
-// All iterates over the recorded events in record order without
-// allocating or flattening the log. It only reads the log, so
-// concurrent walks of a log no one appends to are safe.
+// Releases returns the number of JobRelease events of a named task
+// with a job index (Job ≥ 0), counted as they were recorded, so an
+// analysis can size its job list without a pass over the log.
+func (l *Log) Releases() int { return l.releases }
+
+// All iterates over the recorded events in record order, decoding as
+// it walks, without allocating. It only reads the log, so concurrent
+// walks of a log no one appends to are safe.
 func (l *Log) All() iter.Seq[Event] {
 	return func(yield func(Event) bool) {
-		for _, c := range l.full {
-			for _, e := range c {
-				if !yield(e) {
-					return
-				}
-			}
+		l.walk(func(_ int, e Event) bool { return yield(e) })
+	}
+}
+
+// TaskIndexed iterates like All, yielding with each event the index
+// of its task in the log's task table. Indices count the distinct
+// names, the empty one included, from 0 in order of first appearance,
+// so a walk can keep per-task state in a slice instead of hashing
+// every event's name.
+func (l *Log) TaskIndexed() iter.Seq2[int, Event] {
+	return func(yield func(int, Event) bool) { l.walk(yield) }
+}
+
+// walk decodes every record in order and yields it with its task's
+// index, until yield returns false.
+func (l *Log) walk(yield func(int, Event) bool) {
+	var at vtime.Time
+	for i := 0; i <= len(l.full); i++ {
+		c := l.tail
+		if i < len(l.full) {
+			c = l.full[i]
 		}
-		for _, e := range l.tail {
-			if !yield(e) {
+		for p := 0; p < len(c); {
+			kind := Kind(c[p])
+			var id, job, arg, step uint64
+			id, p = uvarint(c, p+1)
+			job, p = uvarint(c, p)
+			arg, p = uvarint(c, p)
+			step, p = uvarint(c, p)
+			at += vtime.Time(unzigzag(step))
+			if !yield(int(id), Event{At: at, Kind: kind, Task: l.names[id], Job: unzigzag(job), Arg: unzigzag(arg)}) {
 				return
 			}
 		}
 	}
 }
 
-// Events returns the recorded events in record order as one slice,
-// which callers must not mutate. A log of one chunk returns that
-// chunk; a longer log returns a fresh copy on every call, so
-// whole-log walks should use All, which never copies.
+// uvarint decodes the unsigned varint at b[p], returning it and the
+// position after it. The log wrote b, so b holds a whole varint.
+func uvarint(b []byte, p int) (uint64, int) {
+	x := uint64(b[p])
+	if x < 0x80 {
+		return x, p + 1
+	}
+	x &= 0x7f
+	for s := uint(7); ; s += 7 {
+		p++
+		c := b[p]
+		if c < 0x80 {
+			return x | uint64(c)<<s, p + 1
+		}
+		x |= uint64(c&0x7f) << s
+	}
+}
+
+// uvarintLen is the length of x's uvarint encoding.
+func uvarintLen(x uint64) int { return 1 + (bits.Len64(x|1)-1)/7 }
+
+// zigzag maps signed to unsigned so that small magnitudes encode
+// short, as binary.AppendVarint does; unzigzag inverts it.
+func zigzag(x int64) uint64 { return uint64(x<<1) ^ uint64(x>>63) }
+
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
+
+// Events returns the recorded events in record order, decoded into a
+// fresh slice on every call (nil for an empty log), so whole-log walks
+// should use All, which allocates nothing.
 func (l *Log) Events() []Event {
-	if l.full == nil {
-		return l.tail
+	if l.n == 0 {
+		return nil
 	}
-	flat := make([]Event, 0, l.Len())
-	for _, c := range l.full {
-		flat = append(flat, c...)
+	out := make([]Event, 0, l.n)
+	for e := range l.All() {
+		out = append(out, e)
 	}
-	return append(flat, l.tail...)
+	return out
 }
 
 // Filter returns the events satisfying keep, preserving order.
@@ -278,9 +402,20 @@ func (l *Log) Filter(keep func(Event) bool) []Event {
 	return out
 }
 
-// TaskEvents returns the events of one task, preserving order.
+// TaskEvents returns the events of one task, preserving order. It
+// compares table indices, not names.
 func (l *Log) TaskEvents(task string) []Event {
-	return l.Filter(func(e Event) bool { return e.Task == task })
+	want, ok := l.ids[task]
+	if !ok {
+		return nil
+	}
+	var out []Event
+	for id, e := range l.walk {
+		if id == want {
+			out = append(out, e)
+		}
+	}
+	return out
 }
 
 // Window returns the events with from ≤ At < to, preserving order.
@@ -288,17 +423,14 @@ func (l *Log) Window(from, to vtime.Time) []Event {
 	return l.Filter(func(e Event) bool { return !e.At.Before(from) && e.At.Before(to) })
 }
 
-// Tasks returns the sorted set of task names appearing in the log.
+// Tasks returns the sorted set of task names appearing in the log:
+// its task table without the empty name.
 func (l *Log) Tasks() []string {
-	seen := map[string]bool{}
-	for e := range l.All() {
-		if e.Task != "" {
-			seen[e.Task] = true
+	out := make([]string, 0, len(l.names))
+	for _, t := range l.names {
+		if t != "" {
+			out = append(out, t)
 		}
-	}
-	out := make([]string, 0, len(seen))
-	for t := range seen {
-		out = append(out, t)
 	}
 	sort.Strings(out)
 	return out

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -160,31 +161,45 @@ func TestQuickRoundTrip(t *testing.T) {
 }
 
 // TestAppendDoesNotAllocateWithinCapacity: once the first Append has
-// allocated the first chunk, appends that fit it never allocate — the
-// §5 recording discipline.
+// allocated the first chunk and the task table, appends that fit the
+// chunk never allocate — the §5 recording discipline — whether the
+// task repeats or alternates with one already in the table.
 func TestAppendDoesNotAllocateWithinCapacity(t *testing.T) {
 	const runs = 100
 	l := NewLog()
 	l.Append(Event{At: 0, Kind: JobRelease, Task: "x"})
+	l.Append(Event{At: 0, Kind: JobRelease, Task: "y"})
 	// AllocsPerRun calls the function once more to warm up.
 	allocs := testing.AllocsPerRun(runs, func() {
 		l.Append(Event{At: 1, Kind: JobBegin, Task: "x"})
+		l.Append(Event{At: 2, Kind: JobEnd, Task: "x", Job: -1, Arg: 7})
+		l.Append(Event{At: 1, Kind: JobBegin, Task: "y"})
 	})
 	if allocs > 0 {
-		t.Errorf("Append allocates %.1f per call within capacity; the §5 recording discipline requires none", allocs)
+		t.Errorf("three Appends within capacity allocate %.1f times; the §5 recording discipline requires none", allocs)
 	}
-	if l.Len() != runs+2 || l.full != nil {
-		t.Fatalf("Len = %d in %d chunks, want %d in one", l.Len(), len(l.full)+1, runs+2)
+	if l.Len() != 3*(runs+1)+2 || l.full != nil {
+		t.Fatalf("Len = %d in %d chunks, want %d in one", l.Len(), len(l.full)+1, 3*(runs+1)+2)
 	}
 }
 
-// chunkEnds returns the event counts at which the first k chunks are
-// exactly full: 256, 768, 1 792, 3 840, 7 936, then one more chunkSize
-// per chunk.
+// fixedSize is the record size of every fixed(i) event.
+const fixedSize = 8
+
+// fixed returns the i-th event of a sequence whose records all take
+// fixedSize bytes — kind, task index, a 2-byte job, arg 0 and a 3-byte
+// step of At — so chunks, whose sizes are powers of two, fill exactly.
+func fixed(i int) Event {
+	return Event{At: vtime.Time(i+1) * 10_000, Kind: JobBegin, Task: "a", Job: 64 + int64(i%8000)}
+}
+
+// chunkEnds returns the fixed(i) event counts at which the first k
+// chunks are exactly full: 256, 768, 1 792, 3 840, 7 936, 16 128, then
+// one more chunkSize/fixedSize per chunk.
 func chunkEnds(k int) []int {
 	ends := make([]int, k)
 	for i, c, n := 0, firstChunk, 0; i < k; i++ {
-		n += c
+		n += c / fixedSize
 		ends[i] = n
 		c = min(2*c, chunkSize)
 	}
@@ -192,23 +207,28 @@ func chunkEnds(k int) []int {
 }
 
 // TestAppendNeverCopies: growing across seven chunks leaves the first
-// recorded event where it was, doubles each chunk's capacity up to
-// chunkSize, and costs at most one allocation per chunk: each added
-// chunk, plus the short chunk list.
+// recorded byte where it was, doubles each chunk's capacity up to
+// chunkSize, fills each chunk before starting the next, and costs at
+// most one allocation per chunk: each added chunk, plus the short
+// chunk list.
 func TestAppendNeverCopies(t *testing.T) {
 	const chunks = 7
 	ends := chunkEnds(chunks)
 	fill := func(n int) *Log {
 		l := NewLog()
 		for i := 0; i < n; i++ {
-			l.Append(Event{At: vtime.Time(i), Kind: JobBegin, Task: "a", Job: int64(i)})
+			l.Append(fixed(i))
 		}
 		return l
 	}
 	l := fill(1)
-	first := &l.Events()[0]
+	if len(l.tail) != fixedSize {
+		t.Fatalf("fixed(0) took %d bytes, want %d", len(l.tail), fixedSize)
+	}
+	first := &l.tail[0]
+	saved := append([]byte(nil), l.tail...)
 	for i := 1; i < ends[chunks-1]; i++ {
-		l.Append(Event{At: vtime.Time(i), Kind: JobBegin, Task: "a", Job: int64(i)})
+		l.Append(fixed(i))
 	}
 	if got := len(l.full) + 1; got != chunks {
 		t.Fatalf("log holds %d chunks, want %d", got, chunks)
@@ -216,18 +236,18 @@ func TestAppendNeverCopies(t *testing.T) {
 	for i, c := range append(l.full, l.tail) {
 		want := min(firstChunk<<i, chunkSize)
 		if cap(c) != want || len(c) != want {
-			t.Errorf("chunk %d holds %d of %d events, want %d of %d", i, len(c), cap(c), want, want)
+			t.Errorf("chunk %d holds %d of %d bytes, want %d of %d", i, len(c), cap(c), want, want)
 		}
 	}
 	if &l.full[0][0] != first {
-		t.Error("growth moved the first recorded event")
+		t.Error("growth moved the first recorded byte")
 	}
-	if *first != (Event{At: 0, Kind: JobBegin, Task: "a"}) {
-		t.Errorf("first event changed to %+v", *first)
+	if !bytes.Equal(l.full[0][:fixedSize], saved) {
+		t.Errorf("first record changed to % x, was % x", l.full[0][:fixedSize], saved)
 	}
 	// AllocsPerRun averages over whole runs, so a stray runtime
-	// allocation cannot tip the count; NewLog's own allocations and
-	// the first chunk's cancel.
+	// allocation cannot tip the count; NewLog's own allocations, the
+	// task table's and the first chunk's cancel.
 	one := testing.AllocsPerRun(10, func() { fill(ends[0]) })
 	all := testing.AllocsPerRun(10, func() { fill(ends[chunks-1]) })
 	if grown := all - one; grown > chunks {
@@ -235,18 +255,47 @@ func TestAppendNeverCopies(t *testing.T) {
 	}
 }
 
-// TestChunkBoundaries checks every accessor against a flat slice of the
-// same events at the sizes where chunking could go wrong: exactly one
-// chunk, one chunk plus one event, the five doubling chunks full, one
-// event past six chunks, and seven full chunks.
-func TestChunkBoundaries(t *testing.T) {
+// varied returns the i-th event of a sequence whose records vary in
+// size: every kind including unnamed ones, four task names including
+// the empty one, jobs and args of one to three bytes, and an At that
+// mostly rises but steps back every fifth event.
+func varied(i int) Event {
 	names := []string{"b", "a", "", "c"}
-	ends := chunkEnds(7)
+	return Event{
+		At:   vtime.Time(i*1000 - (i%5)*2500),
+		Kind: Kind(i % 16),
+		Task: names[i%len(names)],
+		Job:  int64(i/4) - 1,
+		Arg:  int64(i%3-1) << (i % 20),
+	}
+}
+
+// TestChunkBoundaries checks every accessor against a flat slice of the
+// same varied events at the sizes where chunking could go wrong:
+// exactly one full chunk, one event more, the five doubling chunks
+// full, one event past six chunks, and seven full chunks. A chunk is
+// full when the next record does not fit it.
+func TestChunkBoundaries(t *testing.T) {
+	var ends []int
+	probe := NewLog()
+	for i := 0; len(ends) < 7; i++ {
+		before := len(probe.full)
+		probe.Append(varied(i))
+		sameGeometry(t, probe)
+		if len(probe.full) > before {
+			ends = append(ends, i)
+			// The new chunk holds just event i's record, which
+			// must not have fit the retired one.
+			if room := cap(probe.full[before]) - len(probe.full[before]); room >= len(probe.tail) {
+				t.Fatalf("chunk %d retired with %d bytes free for a %d-byte record", before, room, len(probe.tail))
+			}
+		}
+	}
 	for _, n := range []int{ends[0], ends[0] + 1, ends[4], ends[5] + 1, ends[6]} {
 		l := NewLog()
 		var flat []Event
 		for i := 0; i < n; i++ {
-			e := Event{At: vtime.Time(i), Kind: Kind(i % 14), Task: names[i%len(names)], Job: int64(i / 4), Arg: int64(i % 3)}
+			e := varied(i)
 			l.Append(e)
 			flat = append(flat, e)
 		}
@@ -259,9 +308,9 @@ func TestChunkBoundaries(t *testing.T) {
 			walked = append(walked, e)
 		}
 		sameEvents(t, name+" All", walked, flat)
-		keep := func(e Event) bool { return e.Kind == JobEnd || e.Arg == 2 }
+		keep := func(e Event) bool { return e.Kind == JobEnd || e.Arg > 2 }
 		var kept, win, ofA []Event
-		from, to := vtime.Time(ends[0]-3), vtime.Time(ends[0]+2)
+		from, to := flat[ends[0]-3].At, flat[min(ends[0]+2, n-1)].At
 		for _, e := range flat {
 			if keep(e) {
 				kept = append(kept, e)
@@ -279,17 +328,7 @@ func TestChunkBoundaries(t *testing.T) {
 		if got := strings.Join(l.Tasks(), ","); got != "a,b,c" {
 			t.Errorf("%s: Tasks = %s", name, got)
 		}
-		var want strings.Builder
-		bw := bufio.NewWriter(&want)
-		for _, e := range flat {
-			if err := writeEvent(bw, e); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := bw.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if l.EncodeString() != want.String() {
+		if got, want := l.EncodeString(), flatEncoding(t, flat); got != want {
 			t.Errorf("%s: Encode differs from the flat encoding", name)
 		}
 		sameEvents(t, name+" Events", l.Events(), flat)
@@ -307,16 +346,36 @@ func TestChunkBoundaries(t *testing.T) {
 	}
 }
 
+// flatEncoding is the text encoding of events, one writeEvent each.
+func flatEncoding(t *testing.T, events []Event) string {
+	t.Helper()
+	var b strings.Builder
+	bw := bufio.NewWriter(&b)
+	for _, e := range events {
+		if err := writeEvent(bw, e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
 // TestAllStopsEarly: breaking out of a walk stops it in either chunk.
 func TestAllStopsEarly(t *testing.T) {
+	first := chunkEnds(1)[0]
 	l := NewLog()
-	for i := 0; i < firstChunk+2; i++ {
-		l.Append(Event{At: vtime.Time(i)})
+	for i := 0; i < first+2; i++ {
+		l.Append(fixed(i))
 	}
-	for _, stop := range []int{0, 1, firstChunk + 1} {
+	for _, stop := range []int{0, 1, first + 1} {
 		seen := 0
 		for e := range l.All() {
-			if int(e.At) == stop {
+			if e != fixed(seen) {
+				t.Fatalf("event %d = %+v, want %+v", seen, e, fixed(seen))
+			}
+			if seen == stop {
 				break
 			}
 			seen++
@@ -327,11 +386,12 @@ func TestAllStopsEarly(t *testing.T) {
 	}
 }
 
-// TestAllDoesNotAllocate: the whole-log walk allocates nothing.
+// TestAllDoesNotAllocate: the whole-log walk, plain or with task
+// indices, allocates nothing across chunks.
 func TestAllDoesNotAllocate(t *testing.T) {
 	l := NewLog()
-	for i := 0; i < 2*chunkSize+7; i++ {
-		l.Append(Event{At: vtime.Time(i), Kind: JobRelease, Task: "a"})
+	for i := 0; i < chunkEnds(6)[5]+7; i++ {
+		l.Append(fixed(i))
 	}
 	var sum vtime.Time
 	allocs := testing.AllocsPerRun(10, func() {
@@ -341,6 +401,26 @@ func TestAllDoesNotAllocate(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("All allocates %.0f times per walk, want 0", allocs)
+	}
+	allocs = testing.AllocsPerRun(10, func() {
+		for id, e := range l.TaskIndexed() {
+			sum += e.At + vtime.Time(id)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("TaskIndexed allocates %.0f times per walk, want 0", allocs)
+	}
+}
+
+// sameGeometry fails unless every chunk of l has its planned capacity,
+// the doubling sequence from firstChunk capped at chunkSize: an append
+// that outgrew its chunk would have moved it to a larger array.
+func sameGeometry(t *testing.T, l *Log) {
+	t.Helper()
+	for i, c := range append(l.full[:len(l.full):len(l.full)], l.tail) {
+		if want := min(firstChunk<<min(i, 16), chunkSize); cap(c) != want {
+			t.Fatalf("chunk %d of %d has capacity %d, want %d", i, len(l.full)+1, cap(c), want)
+		}
 	}
 }
 

@@ -131,6 +131,7 @@ func TestValidate(t *testing.T) {
 		"skip+treatment":    func(sc *Scenario) { sc.SkipAdmission = true; sc.Treatment = "stop" },
 		"policy+treatment":  func(sc *Scenario) { sc.Policy = "edf"; sc.Treatment = "stop" },
 		"dup priority":      func(sc *Scenario) { sc.Tasks[1].Priority = sc.Tasks[0].Priority },
+		"task name tau 2":   func(sc *Scenario) { sc.Tasks[1].Name = "tau 2" },
 		"fault unknown task": func(sc *Scenario) {
 			sc.Faults = []Fault{{Task: "ghost", Kind: FaultOverrunAt}}
 		},
@@ -181,6 +182,8 @@ func TestValidate(t *testing.T) {
 			t.Errorf("%s: validation must fail", name)
 		} else if field, ok := strings.CutPrefix(name, "negative "); ok && !strings.Contains(err.Error(), field) {
 			t.Errorf("%s: error must name %s, got %v", name, field, err)
+		} else if task, ok := strings.CutPrefix(name, "task name "); ok && !strings.Contains(err.Error(), task) {
+			t.Errorf("%s: error must name the task, got %v", name, err)
 		}
 	}
 }
